@@ -1,0 +1,188 @@
+"""Class functions on symmetric groups and their symmetric-function avatars.
+
+A class function of level n stores one rational per cycle type, i.e. a total
+map over partitions_of(n).  The characteristic map sends it to the symmetric
+function sum over mu of value(mu)/z_mu * p_mu (the group-element sum
+collapsed class by class), and is inverted by pairing with power sums.  It
+exchanges the induction product with multiplication, which is how the
+induction product is computed here.
+
+Genuine characters have integer values; that is asserted where needed, never
+assumed by the types.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Mapping
+
+from . import symfunc
+from .mn import CharCache, mn_value
+from .partitions import (
+    Partition,
+    boxplus,
+    centralizer_order,
+    check_partition,
+    format_partition,
+    parse_partition,
+    partitions_of,
+    scale,
+    union_power,
+)
+from .symfunc import POWER, SymFunc
+
+ROUTE_DIRECT = "direct"
+ROUTE_PLETHYSTIC = "plethystic"
+
+
+@dataclass(frozen=True)
+class ClassFunction:
+    """Level n plus a total map {partitions of n} -> Fraction."""
+
+    n: int
+    values: dict[Partition, Fraction] = field(default_factory=dict)
+
+    def __post_init__(self):
+        expected = partitions_of(self.n)
+        coerced = {}
+        for mu in expected:
+            if mu not in self.values:
+                raise ValueError(f"class function of level {self.n} missing value at {mu}")
+            coerced[mu] = Fraction(self.values[mu])
+        if len(self.values) != len(expected):
+            extra = set(self.values) - set(expected)
+            raise ValueError(f"class function of level {self.n} has spurious keys {sorted(extra)}")
+        object.__setattr__(self, "values", coerced)
+
+    @classmethod
+    def from_partial(cls, n: int, values: Mapping[Partition, Fraction | int]) -> "ClassFunction":
+        """Build from a sparse map, filling unmentioned classes with zero."""
+        full = {mu: Fraction(0) for mu in partitions_of(n)}
+        for mu, value in values.items():
+            mu = check_partition(mu)
+            if sum(mu) != n:
+                raise ValueError(f"key {mu} is not a partition of {n}")
+            full[mu] = Fraction(value)
+        return cls(n, full)
+
+    @classmethod
+    def zero(cls, n: int) -> "ClassFunction":
+        return cls.from_partial(n, {})
+
+    def __add__(self, other: "ClassFunction") -> "ClassFunction":
+        if self.n != other.n:
+            raise ValueError(f"level mismatch: {self.n} vs {other.n}")
+        return ClassFunction(self.n, {mu: self.values[mu] + other.values[mu] for mu in self.values})
+
+    def __sub__(self, other: "ClassFunction") -> "ClassFunction":
+        return self + (-1) * other
+
+    def __rmul__(self, scalar: Fraction | int) -> "ClassFunction":
+        scalar = Fraction(scalar)
+        return ClassFunction(self.n, {mu: scalar * value for mu, value in self.values.items()})
+
+    def is_integer_valued(self) -> bool:
+        return all(value.denominator == 1 for value in self.values.values())
+
+    def to_json_dict(self) -> dict:
+        return {
+            "n": self.n,
+            "values": {
+                format_partition(mu): symfunc.format_rational(self.values[mu]) for mu in partitions_of(self.n)
+            },
+        }
+
+    @classmethod
+    def from_json_dict(cls, data: Mapping) -> "ClassFunction":
+        values = {parse_partition(key): symfunc.parse_rational(text) for key, text in data["values"].items()}
+        return cls(int(data["n"]), values)
+
+
+def irreducible_character(lam: Partition, cache: CharCache | None = None) -> ClassFunction:
+    """The irreducible character indexed by lam, as a class function."""
+    lam = check_partition(lam)
+    n = sum(lam)
+    return ClassFunction(n, {mu: Fraction(mn_value(lam, mu, cache)) for mu in partitions_of(n)})
+
+
+def ch(phi: ClassFunction) -> SymFunc:
+    """Characteristic map: sum of value(mu)/z_mu * p_mu over cycle types."""
+    return SymFunc(
+        POWER,
+        {mu: value / centralizer_order(mu) for mu, value in phi.values.items()},
+    )
+
+
+def ch_inverse(f: SymFunc, n: int, cache: CharCache | None = None) -> ClassFunction:
+    """Inverse characteristic map; the value at mu is the pairing with p_mu."""
+    f = symfunc.to_power(f, cache)
+    if any(sum(key) != n for key in f.terms):
+        raise ValueError(f"not homogeneous of degree {n}: degrees {f.degrees()}")
+    return ClassFunction(
+        n,
+        {mu: f.terms.get(mu, Fraction(0)) * centralizer_order(mu) for mu in partitions_of(n)},
+    )
+
+
+def induction_product(phi: ClassFunction, psi: ClassFunction, cache: CharCache | None = None) -> ClassFunction:
+    """Induce the outer tensor product up to the symmetric group on n+m letters.
+
+    Computed on the symmetric-function side, where the characteristic map
+    turns it into plain multiplication.
+    """
+    product = symfunc.multiply(ch(phi), ch(psi), cache)
+    return ch_inverse(product, phi.n + psi.n, cache)
+
+
+def decompose(phi: ClassFunction, cache: CharCache | None = None) -> dict[Partition, Fraction]:
+    """Multiplicities of the irreducible characters in phi; zeros omitted."""
+    expansion = symfunc.power_to_schur(ch(phi), cache)
+    return dict(expansion.sorted_items())
+
+
+def boxplus_classfunction(
+    lam: Partition, d: int, route: str = ROUTE_DIRECT, cache: CharCache | None = None
+) -> ClassFunction:
+    """The level-n class function read off the grid-subdivided character.
+
+    Its value at mu is the character of shape boxplus(lam, d) at the class
+    boxplus(mu, d), sitting inside the character table of the symmetric
+    group on d*d*n letters.  Two routes:
+
+    * direct: ribbon-stripping evaluation at the subdivided class;
+    * plethystic: the Hall pairing of the d-th power of the Schur expansion
+      of lam with p at the d-fold multiset union of mu, scaled to the same
+      class.
+
+    The routes must agree exactly; the verification sweeps assert it.
+    """
+    lam = check_partition(lam)
+    if d < 1:
+        raise ValueError(f"grid factor must be positive, got {d}")
+    n = sum(lam)
+    if route == ROUTE_DIRECT:
+        big = boxplus(lam, d)
+        values = {mu: Fraction(mn_value(big, boxplus(mu, d), cache)) for mu in partitions_of(n)}
+    elif route == ROUTE_PLETHYSTIC:
+        power = symfunc.power_d(symfunc.schur_to_power(lam, cache), d, cache)
+        values = {
+            mu: symfunc.hall_inner(power, SymFunc.power(union_power(mu, d)), cache)
+            for mu in partitions_of(n)
+        }
+    else:
+        raise ValueError(f"unknown route {route!r}, expected {ROUTE_DIRECT!r} or {ROUTE_PLETHYSTIC!r}")
+    return ClassFunction(n, values)
+
+
+def scaled_classfunction(lam: Partition, d: int, cache: CharCache | None = None) -> ClassFunction:
+    """The level-n class function whose value at mu is the character of
+    shape d*lam at the class d*mu."""
+    lam = check_partition(lam)
+    if d < 1:
+        raise ValueError(f"scale factor must be positive, got {d}")
+    n = sum(lam)
+    return ClassFunction(
+        n,
+        {mu: Fraction(mn_value(scale(lam, d), scale(mu, d), cache)) for mu in partitions_of(n)},
+    )

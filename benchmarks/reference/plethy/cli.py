@@ -1,0 +1,297 @@
+"""Command-line driver.
+
+Subcommands: table, boxplus, quotient, verify, cache, config.  Output goes
+to stdout or --out, as JSON (default) or CSV where a table shape makes
+sense.  Exit codes: 0 success or all sweeps PASS, 1 a verification sweep
+FAILed, 2 usage, parse, or limit errors.
+
+Reports omit wall-clock timings unless --timings is given, so identical
+inputs produce byte-identical output files.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import io
+import json
+import os
+import sys
+
+from . import verify as verify_mod
+from .characters import (
+    ROUTE_DIRECT,
+    ROUTE_PLETHYSTIC,
+    boxplus_classfunction,
+    decompose,
+)
+from .config import Config, load_config
+from .mn import CharCache, character_table
+from .partitions import (
+    PartitionError,
+    format_partition,
+    parse_partition,
+    partitions_of,
+    sort_key,
+)
+from .symfunc import format_rational
+
+ROUTE_BOTH = "both"
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="plethy",
+        description="Exact symmetric-group character computations around the grid-subdivision embedding.",
+    )
+    parser.add_argument("--config", help="path to a key = value config file (default: $PLETHY_CONFIG if set)")
+    parser.add_argument("--workers", type=int, help="worker cap for verification sweeps")
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    p_table = commands.add_parser("table", help="character table of the symmetric group on n letters")
+    p_table.add_argument("n", type=int)
+    p_table.add_argument("--format", choices=("json", "csv"), help="output format (default from config)")
+    p_table.add_argument("--out", help="write to this path instead of stdout")
+
+    p_box = commands.add_parser("boxplus", help="grid-subdivided class function and its decomposition")
+    p_box.add_argument("lam", metavar="LAMBDA", help="partition, e.g. 4,4,2,2")
+    p_box.add_argument("--d", type=int, required=True)
+    p_box.add_argument("--route", choices=(ROUTE_DIRECT, ROUTE_PLETHYSTIC, ROUTE_BOTH), default=ROUTE_DIRECT)
+    p_box.add_argument("--format", choices=("json", "csv"), help="output format (default from config)")
+    p_box.add_argument("--out", help="write to this path instead of stdout")
+
+    p_quot = commands.add_parser("quotient", help="core, quotient, and sign of a partition")
+    p_quot.add_argument("nu", metavar="NU", help="partition, e.g. 2,2,2,2")
+    p_quot.add_argument("--d", type=int, required=True)
+    p_quot.add_argument("--out", help="write to this path instead of stdout")
+
+    p_verify = commands.add_parser("verify", help="run verification sweeps")
+    p_verify.add_argument(
+        "which",
+        choices=("thm1", "thm1-scaled", "littlewood", "thm2-div", "thm2-vanish", "oracle", "all"),
+    )
+    p_verify.add_argument("--n", type=int)
+    p_verify.add_argument("--d", type=int)
+    p_verify.add_argument("--max-size", type=int, dest="max_size")
+    p_verify.add_argument("--timings", action="store_true", help="include wall-clock milliseconds in reports")
+    p_verify.add_argument("--out", help="write to this path instead of stdout")
+
+    p_cache = commands.add_parser("cache", help="inspect or clear the on-disk character cache")
+    p_cache.add_argument("action", choices=("info", "clear"))
+
+    p_config = commands.add_parser("config", help="show the effective configuration")
+    p_config.add_argument("action", choices=("show",))
+
+    return parser
+
+
+def _emit(text: str, out: str | None) -> None:
+    if out:
+        with open(out, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def _load_effective_config(args: argparse.Namespace) -> Config:
+    path = args.config or os.environ.get("PLETHY_CONFIG")
+    config = load_config(path) if path else Config()
+    if args.workers is not None:
+        if args.workers < 1:
+            raise ValueError(f"--workers must be positive, got {args.workers}")
+        config.parallelism = args.workers
+    return config
+
+
+def cmd_table(args: argparse.Namespace, config: Config, cache: CharCache) -> int:
+    rows = character_table(args.n, config.max_table_n, cache)
+    parts = partitions_of(args.n)
+    fmt = args.format or config.output_format
+    if fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["lambda"] + [format_partition(mu) for mu in parts])
+        for lam, row in zip(parts, rows):
+            writer.writerow([format_partition(lam)] + [str(value) for value in row])
+        _emit(buffer.getvalue(), args.out)
+    else:
+        payload = {
+            "n": args.n,
+            "rows": {
+                format_partition(lam): {
+                    format_partition(mu): str(value) for mu, value in zip(parts, row)
+                }
+                for lam, row in zip(parts, rows)
+            },
+        }
+        _emit(_json_text(payload), args.out)
+    return 0
+
+
+def cmd_boxplus(args: argparse.Namespace, config: Config, cache: CharCache) -> int:
+    lam = parse_partition(args.lam)
+    if args.d < 1:
+        raise ValueError(f"--d must be positive, got {args.d}")
+    routes = {}
+    if args.route in (ROUTE_DIRECT, ROUTE_BOTH):
+        routes[ROUTE_DIRECT] = boxplus_classfunction(lam, args.d, ROUTE_DIRECT, cache)
+    if args.route in (ROUTE_PLETHYSTIC, ROUTE_BOTH):
+        routes[ROUTE_PLETHYSTIC] = boxplus_classfunction(lam, args.d, ROUTE_PLETHYSTIC, cache)
+    primary = routes.get(ROUTE_DIRECT) or routes[ROUTE_PLETHYSTIC]
+    mults = decompose(primary, cache)
+    decomposition = {
+        format_partition(nu): format_rational(m)
+        for nu, m in sorted(mults.items(), key=lambda item: sort_key(item[0]))
+    }
+    fmt = args.format or config.output_format
+    if fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["kind", "key", "value"])
+        for route, phi in routes.items():
+            kind = "value" if args.route != ROUTE_BOTH else route
+            for mu in partitions_of(phi.n):
+                writer.writerow([kind, format_partition(mu), format_rational(phi.values[mu])])
+        for key, value in decomposition.items():
+            writer.writerow(["multiplicity", key, value])
+        if args.route == ROUTE_BOTH:
+            agree = routes[ROUTE_DIRECT].values == routes[ROUTE_PLETHYSTIC].values
+            writer.writerow(["agreement", "", "true" if agree else "false"])
+        _emit(buffer.getvalue(), args.out)
+    else:
+        payload = {"lambda": format_partition(lam), "d": args.d, "route": args.route}
+        if args.route == ROUTE_BOTH:
+            payload["direct"] = routes[ROUTE_DIRECT].to_json_dict()
+            payload["plethystic"] = routes[ROUTE_PLETHYSTIC].to_json_dict()
+            payload["agreement"] = routes[ROUTE_DIRECT].values == routes[ROUTE_PLETHYSTIC].values
+        else:
+            payload["classfunction"] = primary.to_json_dict()
+        payload["decomposition"] = decomposition
+        _emit(_json_text(payload), args.out)
+    return 0
+
+
+def cmd_quotient(args: argparse.Namespace, config: Config) -> int:
+    from .abacus import d_core, d_quotient, d_sign
+
+    nu = parse_partition(args.nu)
+    if args.d < 1:
+        raise ValueError(f"--d must be positive, got {args.d}")
+    sign = d_sign(nu, args.d)
+    payload = {
+        "nu": format_partition(nu),
+        "d": args.d,
+        "core": format_partition(d_core(nu, args.d)),
+        "quotient": [format_partition(piece) for piece in d_quotient(nu, args.d)],
+        "sign": sign if sign is not None else "undefined",
+    }
+    _emit(_json_text(payload), args.out)
+    return 0
+
+
+def cmd_verify(args: argparse.Namespace, config: Config, cache: CharCache) -> int:
+    workers = config.parallelism
+    if args.which == "thm1":
+        n = args.n if args.n is not None else config.thm1_n
+        d = args.d if args.d is not None else config.thm1_d
+        reports = [verify_mod.verify_theorem1(n, d, config.thm1_n, config.thm1_d, cache, workers)]
+    elif args.which == "thm1-scaled":
+        n = args.n if args.n is not None else config.thm1_n
+        d = args.d if args.d is not None else config.thm1_d
+        reports = [verify_mod.verify_theorem1_scaled(n, d, config.thm1_n, config.thm1_d, cache, workers)]
+    elif args.which == "littlewood":
+        size = args.max_size if args.max_size is not None else config.littlewood_size
+        d = args.d if args.d is not None else 2
+        reports = [verify_mod.verify_littlewood(size, d, config.littlewood_size, cache, workers)]
+    elif args.which == "thm2-div":
+        n = args.n if args.n is not None else config.thm2_n
+        d = args.d if args.d is not None else config.thm2_d
+        reports = [verify_mod.verify_theorem2_div(n, d, config.thm2_n, config.thm2_d, cache, workers)]
+    elif args.which == "thm2-vanish":
+        n = args.n if args.n is not None else config.thm2_n
+        d = args.d if args.d is not None else config.thm2_d
+        reports = [verify_mod.verify_theorem2_vanish(n, d, config.thm2_n, config.thm2_d, cache, workers)]
+    elif args.which == "oracle":
+        n = args.n if args.n is not None else min(config.thm2_n, verify_mod.DEFAULT_ORACLE_N)
+        d = args.d if args.d is not None else config.thm2_d
+        reports = [verify_mod.verify_hall_oracle(n, d, verify_mod.DEFAULT_ORACLE_N, config.thm2_d, cache, workers)]
+    else:
+        reports = verify_mod.run_verify_all(
+            config.thm1_n,
+            config.thm1_d,
+            config.littlewood_size,
+            config.thm2_n,
+            config.thm2_d,
+            cache,
+            workers,
+        )
+    if not args.timings:
+        reports = [report.without_timing() for report in reports]
+    all_pass = all(report.status == "PASS" for report in reports)
+    if len(reports) == 1:
+        payload = reports[0].to_json_dict()
+    else:
+        payload = {
+            "reports": [report.to_json_dict() for report in reports],
+            "status": "PASS" if all_pass else "FAIL",
+        }
+    _emit(_json_text(payload), args.out)
+    return 0 if all_pass else 1
+
+
+def cmd_cache(args: argparse.Namespace, config: Config) -> int:
+    cache = CharCache(config.cache_path)
+    if args.action == "info":
+        payload = {
+            "path": config.cache_path,
+            "exists": os.path.exists(config.cache_path),
+            "entries": len(cache),
+        }
+    else:
+        cache.clear()
+        payload = {"path": config.cache_path, "cleared": True}
+    _emit(_json_text(payload), None)
+    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        code = exc.code
+        return code if isinstance(code, int) else 2
+    try:
+        config = _load_effective_config(args)
+        if args.command == "table":
+            cache = CharCache(config.cache_path)
+            code = cmd_table(args, config, cache)
+            cache.flush()
+            return code
+        if args.command == "boxplus":
+            cache = CharCache(config.cache_path)
+            code = cmd_boxplus(args, config, cache)
+            cache.flush()
+            return code
+        if args.command == "quotient":
+            return cmd_quotient(args, config)
+        if args.command == "verify":
+            cache = CharCache(config.cache_path)
+            code = cmd_verify(args, config, cache)
+            cache.flush()
+            return code
+        if args.command == "cache":
+            return cmd_cache(args, config)
+        _emit(config.to_text(), None)
+        return 0
+    except (PartitionError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def entry_point() -> None:
+    sys.exit(main(sys.argv[1:]))

@@ -1,0 +1,94 @@
+"""Configuration for the CLI: cache location, table and sweep limits, output.
+
+Stored as a plain "key = value" text file.  Blank lines and lines starting
+with "#" are ignored.  Unknown keys are rejected so that typos surface
+instead of silently falling back to defaults.
+"""
+
+from __future__ import annotations
+
+import os
+from dataclasses import dataclass, fields
+
+OUTPUT_FORMATS = ("json", "csv")
+
+
+def default_cache_path() -> str:
+    root = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(root, "plethy", "mn_cache.txt")
+
+
+@dataclass
+class Config:
+    cache_path: str = ""
+    max_table_n: int = 18
+    thm1_n: int = 5
+    thm1_d: int = 3
+    littlewood_size: int = 8
+    thm2_n: int = 4
+    thm2_d: int = 3
+    output_format: str = "json"
+    parallelism: int = 0
+
+    def __post_init__(self):
+        if not self.cache_path:
+            self.cache_path = default_cache_path()
+        if not self.parallelism:
+            self.parallelism = os.cpu_count() or 1
+        self.validate()
+
+    def validate(self) -> None:
+        for name in ("max_table_n", "thm1_n", "thm1_d", "littlewood_size", "thm2_n", "thm2_d", "parallelism"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(f"config key {name} must be a positive integer, got {value!r}")
+        if self.output_format not in OUTPUT_FORMATS:
+            raise ValueError(
+                f"config key output_format must be one of {', '.join(OUTPUT_FORMATS)}, got {self.output_format!r}"
+            )
+
+    def to_text(self) -> str:
+        lines = []
+        for spec in fields(self):
+            lines.append(f"{spec.name} = {getattr(self, spec.name)}")
+        return "\n".join(lines) + "\n"
+
+
+_INT_KEYS = {"max_table_n", "thm1_n", "thm1_d", "littlewood_size", "thm2_n", "thm2_d", "parallelism"}
+_STR_KEYS = {"cache_path", "output_format"}
+
+
+def parse_config(text: str) -> Config:
+    values: dict[str, object] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ValueError(f"config line {lineno} is not 'key = value': {raw!r}")
+        key = key.strip()
+        value = value.strip()
+        if key in _INT_KEYS:
+            try:
+                values[key] = int(value)
+            except ValueError:
+                raise ValueError(f"config key {key} needs an integer, got {value!r}") from None
+        elif key in _STR_KEYS:
+            values[key] = value
+        else:
+            raise ValueError(f"unknown config key {key!r} on line {lineno}")
+    return Config(**values)
+
+
+def load_config(path: str) -> Config:
+    with open(path, encoding="utf-8") as handle:
+        return parse_config(handle.read())
+
+
+def save_config(config: Config, path: str) -> None:
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(config.to_text())

@@ -1,0 +1,157 @@
+"""Murnaghan-Nakayama character evaluation with a persistent memo cache.
+
+The recursion always strips a ribbon whose length is the largest remaining
+part of the cycle type.  Any fixed part order yields the same value;
+largest-first shrinks the recursion tree fastest and keeps the cache keys of
+intermediate calls deterministic.
+"""
+
+from __future__ import annotations
+
+import os
+import threading
+
+from .abacus import remove_ribbons
+from .partitions import Partition, check_partition, format_partition, parse_partition, partitions_of
+
+DEFAULT_TABLE_LIMIT = 18
+
+
+class DegreeMismatchError(ValueError):
+    """Character evaluated on a class of the wrong symmetric group."""
+
+
+class CacheFormatError(ValueError):
+    """Corrupt or self-contradictory cache file."""
+
+
+class CharCache:
+    """Memo of character values keyed by (shape, cycle type).
+
+    A pure memo: entries re-derived from scratch are always identical, so a
+    stale or deleted file never changes results, only speed.  Concurrent
+    readers need no coordination (lookups hit an ordinary dict); writers are
+    serialized on an internal lock, and a reader that misses simply
+    recomputes.
+
+    With a path, the file is loaded wholesale on construction and new
+    entries are appended in a single write per flush().  The format is one
+    entry per line, ``<nu parts>|<rho parts>=<decimal integer>``, e.g.
+    ``4,4|2,2,2,2=6``.  Duplicate lines must agree or loading fails.
+    """
+
+    def __init__(self, path: str | os.PathLike | None = None):
+        self.path = os.fspath(path) if path is not None else None
+        self._values: dict[tuple[Partition, Partition], int] = {}
+        self._pending: list[tuple[Partition, Partition, int]] = []
+        self._lock = threading.Lock()
+        if self.path is not None and os.path.exists(self.path):
+            self._load()
+
+    def _load(self) -> None:
+        with open(self.path, encoding="ascii") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                try:
+                    key_part, value_part = line.split("=")
+                    nu_text, rho_text = key_part.split("|")
+                    key = (parse_partition(nu_text), parse_partition(rho_text))
+                    value = int(value_part)
+                except ValueError as exc:
+                    raise CacheFormatError(f"{self.path}:{lineno}: bad cache line {line!r}") from exc
+                if key in self._values and self._values[key] != value:
+                    raise CacheFormatError(
+                        f"{self.path}:{lineno}: conflicting values {self._values[key]} and {value} for {line!r}"
+                    )
+                self._values[key] = value
+
+    def get(self, nu: Partition, rho: Partition) -> int | None:
+        return self._values.get((nu, rho))
+
+    def put(self, nu: Partition, rho: Partition, value: int) -> None:
+        with self._lock:
+            if (nu, rho) not in self._values:
+                self._values[(nu, rho)] = value
+                self._pending.append((nu, rho, value))
+
+    def flush(self) -> None:
+        """Append entries recorded since the last flush in one atomic write."""
+        with self._lock:
+            pending, self._pending = self._pending, []
+        if self.path is None or not pending:
+            return
+        lines = "".join(
+            f"{format_partition(nu)}|{format_partition(rho)}={value}\n" for nu, rho, value in pending
+        )
+        directory = os.path.dirname(self.path)
+        if directory:
+            os.makedirs(directory, exist_ok=True)
+        with open(self.path, "a", encoding="ascii") as handle:
+            handle.write(lines)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._values.clear()
+            self._pending.clear()
+        if self.path is not None and os.path.exists(self.path):
+            os.remove(self.path)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+
+_default_cache = CharCache()
+
+
+def default_cache() -> CharCache:
+    """The process-wide in-memory cache used when no cache is passed."""
+    return _default_cache
+
+
+def mn_value(nu: Partition, rho: Partition, cache: CharCache | None = None) -> int:
+    """The irreducible character of shape nu at the class of cycle type rho.
+
+    Exact integer; |nu| must equal |rho|.  Values are memoized (including
+    every intermediate pair the recursion touches) through the given cache,
+    or the process-wide default.
+    """
+    nu = check_partition(nu)
+    rho = check_partition(rho)
+    if sum(nu) != sum(rho):
+        raise DegreeMismatchError(
+            f"degree mismatch: |{format_partition(nu) or '()'}| = {sum(nu)}"
+            f" but |{format_partition(rho) or '()'}| = {sum(rho)}"
+        )
+    return _mn(nu, rho, cache if cache is not None else _default_cache)
+
+
+def _mn(nu: Partition, rho: Partition, cache: CharCache) -> int:
+    if not nu:
+        return 1
+    known = cache.get(nu, rho)
+    if known is not None:
+        return known
+    rest = rho[1:]
+    value = 0
+    for removal in remove_ribbons(nu, rho[0]):
+        value += removal.sign * _mn(removal.smaller, rest, cache)
+    cache.put(nu, rho, value)
+    return value
+
+
+def character_table(n: int, max_n: int = DEFAULT_TABLE_LIMIT, cache: CharCache | None = None) -> list[list[int]]:
+    """Character table of the symmetric group on n letters.
+
+    Rows are indexed by shapes and columns by cycle types, both in the
+    canonical enumeration order of partitions_of(n).  Guarded by max_n
+    (default 18) because the table has p(n)^2 entries; single values via
+    mn_value stay available beyond the limit.
+    """
+    if n < 0:
+        raise ValueError(f"table size must be nonnegative, got {n}")
+    if n > max_n:
+        raise ValueError(f"table too large: n = {n} exceeds the limit {max_n}")
+    mus = partitions_of(n)
+    return [[mn_value(lam, mu, cache) for mu in mus] for lam in mus]

@@ -1,0 +1,563 @@
+"""Verification sweeps for the grid-subdivision embedding.
+
+Each sweep checks one family of identities by at least two independent
+computation routes and returns a VerificationReport.  Failures are collected,
+not raised: a report lists every violated case with enough data to rerun it
+in isolation.
+
+The headline checks:
+
+* theorem1: for every shape of n, the grid-subdivided class function is a
+  genuine character.  Route agreement (ribbon stripping vs Hall pairing),
+  integrality and nonnegativity of the decomposition, re-synthesis, and the
+  induced-module dimension identity (dn)!/(n!)^d * f(lambda)^d.
+* theorem1_scaled: the part-scaled variant decomposes with nonnegative
+  integer multiplicities.
+* littlewood: the abacus route for the p_d-adjoint on Schur functions equals
+  the power-basis closed form.
+* theorem2_div: d! divides the subdivided character at part-scaled classes,
+  with values cross-checked against the Hall pairing.
+* theorem2_vanish: the subdivided character vanishes at d^2-scaled classes
+  when d does not divide n.
+* hall_oracle: an ordered-tuple summation reproduces the same values from
+  centralizer ratios and small characters only, with the rearrangement-orbit
+  divisibility argument checked orbit by orbit.
+"""
+
+from __future__ import annotations
+
+import math
+import time
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Callable, Sequence
+
+from . import symfunc
+from .characters import (
+    ROUTE_DIRECT,
+    ROUTE_PLETHYSTIC,
+    boxplus_classfunction,
+    decompose,
+    scaled_classfunction,
+)
+from .mn import CharCache, mn_value
+from .partitions import (
+    Partition,
+    boxplus,
+    centralizer_order,
+    check_partition,
+    conjugate,
+    format_partition,
+    multiplicity_pattern,
+    partitions_of,
+    scale,
+    sort_key,
+)
+from .symfunc import SymFunc
+
+THM1 = "Thm1"
+THM1_SCALED = "Thm1Scaled"
+LITTLEWOOD = "Littlewood"
+THM2_DIV = "Thm2Div"
+THM2_VANISH = "Thm2Vanish"
+HALL_ORACLE = "HallOracle"
+
+DEFAULT_THM1_N = 5
+DEFAULT_THM1_D = 3
+DEFAULT_LITTLEWOOD_SIZE = 8
+DEFAULT_THM2_N = 4
+DEFAULT_THM2_D = 3
+DEFAULT_ORACLE_N = 3
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    """Outcome of one sweep: what was checked, how many cases, what broke."""
+
+    theorem: str
+    params: dict
+    cases_checked: int
+    failures: list = field(default_factory=list)
+    elapsed_ms: int = 0
+
+    @property
+    def status(self) -> str:
+        return "PASS" if not self.failures else "FAIL"
+
+    def to_json_dict(self) -> dict:
+        return {
+            "theorem": self.theorem,
+            "params": self.params,
+            "cases": self.cases_checked,
+            "failures": self.failures,
+            "elapsed_ms": self.elapsed_ms,
+            "status": self.status,
+        }
+
+    def without_timing(self) -> "VerificationReport":
+        return VerificationReport(self.theorem, self.params, self.cases_checked, self.failures, 0)
+
+
+def _check_limit(name: str, value: int, limit: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be positive, got {value}")
+    if value > limit:
+        raise ValueError(f"{name} = {value} exceeds the limit {limit}")
+
+
+def _map_ordered(fn: Callable, items: Sequence, workers: int) -> list:
+    """Apply fn to items, preserving input order; fan out when workers > 1."""
+    if workers <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
+def _timed(theorem: str, params: dict, worker: Callable, items: Sequence, workers: int) -> VerificationReport:
+    """Run worker over items, merge (cases, failures) pairs in input order."""
+    start = time.perf_counter()
+    cases = 0
+    failures = []
+    for case_count, case_failures in _map_ordered(worker, items, workers):
+        cases += case_count
+        failures.extend(case_failures)
+    elapsed_ms = int((time.perf_counter() - start) * 1000)
+    return VerificationReport(theorem, params, cases, failures, elapsed_ms)
+
+
+def f_dim(lam: Partition) -> int:
+    """Number of standard Young tableaux of shape lam, by hook lengths."""
+    lam = check_partition(lam)
+    n = sum(lam)
+    cols = conjugate(lam)
+    hooks = 1
+    for i, row in enumerate(lam):
+        for j in range(row):
+            hooks *= row - j + cols[j] - i - 1
+    dim, remainder = divmod(math.factorial(n), hooks)
+    if remainder:
+        raise ArithmeticError(f"hook product {hooks} does not divide {n}!")
+    return dim
+
+
+def verify_theorem1(
+    n: int,
+    d: int,
+    max_n: int = DEFAULT_THM1_N,
+    max_d: int = DEFAULT_THM1_D,
+    cache: CharCache | None = None,
+    workers: int = 1,
+) -> VerificationReport:
+    """Check that the grid-subdivided class function is a genuine character.
+
+    For every lambda of n: the two routes agree at every class, the
+    decomposition has nonnegative integer multiplicities, re-synthesizing
+    from those multiplicities reproduces the class function, and the value
+    at the identity class matches the induced-module dimension.
+    """
+    _check_limit("n", n, max_n)
+    _check_limit("d", d, max_d)
+    mus = partitions_of(n)
+    identity = (1,) * n
+
+    def check(lam: Partition) -> tuple[int, list]:
+        failures = []
+        direct = boxplus_classfunction(lam, d, ROUTE_DIRECT, cache)
+        plethystic = boxplus_classfunction(lam, d, ROUTE_PLETHYSTIC, cache)
+        for mu in mus:
+            if direct.values[mu] != plethystic.values[mu]:
+                failures.append({
+                    "lambda": format_partition(lam),
+                    "mu": format_partition(mu),
+                    "relation": "direct route = plethystic route",
+                    "direct": symfunc.format_rational(direct.values[mu]),
+                    "plethystic": symfunc.format_rational(plethystic.values[mu]),
+                })
+        mults = decompose(direct, cache)
+        for nu, m in sorted(mults.items(), key=lambda item: sort_key(item[0])):
+            if m.denominator != 1 or m < 0:
+                failures.append({
+                    "lambda": format_partition(lam),
+                    "irreducible": format_partition(nu),
+                    "relation": "multiplicity is a nonnegative integer",
+                    "multiplicity": symfunc.format_rational(m),
+                })
+        for mu in mus:
+            resynth = sum((m * Fraction(mn_value(nu, mu, cache)) for nu, m in mults.items()), Fraction(0))
+            if resynth != direct.values[mu]:
+                failures.append({
+                    "lambda": format_partition(lam),
+                    "mu": format_partition(mu),
+                    "relation": "sum of multiplicities times irreducibles = class function",
+                    "resynthesized": symfunc.format_rational(resynth),
+                    "value": symfunc.format_rational(direct.values[mu]),
+                })
+        expected_dim = math.factorial(d * n) // math.factorial(n) ** d * f_dim(lam) ** d
+        if direct.values[identity] != expected_dim:
+            failures.append({
+                "lambda": format_partition(lam),
+                "relation": "identity value = (dn)!/(n!)^d * f^d",
+                "value": symfunc.format_rational(direct.values[identity]),
+                "expected": str(expected_dim),
+            })
+        return 1, failures
+
+    return _timed(THM1, {"n": n, "d": d}, check, partitions_of(n), workers)
+
+
+def verify_theorem1_scaled(
+    n: int,
+    d: int,
+    max_n: int = DEFAULT_THM1_N,
+    max_d: int = DEFAULT_THM1_D,
+    cache: CharCache | None = None,
+    workers: int = 1,
+) -> VerificationReport:
+    """Check that the part-scaled class function is a genuine character."""
+    _check_limit("n", n, max_n)
+    _check_limit("d", d, max_d)
+    mus = partitions_of(n)
+
+    def check(lam: Partition) -> tuple[int, list]:
+        failures = []
+        phi = scaled_classfunction(lam, d, cache)
+        mults = decompose(phi, cache)
+        for nu, m in sorted(mults.items(), key=lambda item: sort_key(item[0])):
+            if m.denominator != 1 or m < 0:
+                failures.append({
+                    "lambda": format_partition(lam),
+                    "irreducible": format_partition(nu),
+                    "relation": "multiplicity is a nonnegative integer",
+                    "multiplicity": symfunc.format_rational(m),
+                })
+        for mu in mus:
+            resynth = sum((m * Fraction(mn_value(nu, mu, cache)) for nu, m in mults.items()), Fraction(0))
+            if resynth != phi.values[mu]:
+                failures.append({
+                    "lambda": format_partition(lam),
+                    "mu": format_partition(mu),
+                    "relation": "sum of multiplicities times irreducibles = class function",
+                    "resynthesized": symfunc.format_rational(resynth),
+                    "value": symfunc.format_rational(phi.values[mu]),
+                })
+        return 1, failures
+
+    return _timed(THM1_SCALED, {"n": n, "d": d}, check, partitions_of(n), workers)
+
+
+def verify_littlewood(
+    max_size: int,
+    d: int,
+    bound: int = DEFAULT_LITTLEWOOD_SIZE,
+    cache: CharCache | None = None,
+    workers: int = 1,
+) -> VerificationReport:
+    """Check the abacus route for the adjoint against the power-basis route.
+
+    Sweeps every partition of every size up to max_size, the empty one
+    included; partitions whose d-core is nonempty must give zero on both
+    routes.
+    """
+    _check_limit("max_size", max_size, bound)
+    if d < 1:
+        raise ValueError(f"d must be positive, got {d}")
+    nus = [nu for m in range(max_size + 1) for nu in partitions_of(m)]
+
+    def check(nu: Partition) -> tuple[int, list]:
+        via_abacus = symfunc.phi_d_littlewood(nu, d, cache)
+        via_power = symfunc.phi_d_power(symfunc.schur_to_power(nu, cache), d, cache)
+        if via_abacus.terms != via_power.terms:
+            diff = via_abacus - via_power
+            return 1, [{
+                "nu": format_partition(nu),
+                "d": d,
+                "relation": "abacus route = power-basis route",
+                "difference_terms": {
+                    format_partition(key): symfunc.format_rational(val) for key, val in diff.sorted_items()
+                },
+            }]
+        return 1, []
+
+    return _timed(LITTLEWOOD, {"max_size": max_size, "d": d}, check, nus, workers)
+
+
+def verify_theorem2_div(
+    n: int,
+    d: int,
+    max_n: int = DEFAULT_THM2_N,
+    max_d: int = DEFAULT_THM2_D,
+    cache: CharCache | None = None,
+    workers: int = 1,
+) -> VerificationReport:
+    """Check d! divisibility of subdivided characters at part-scaled classes.
+
+    For every lambda of n and mu of d*n: d! divides the ribbon-stripping
+    value at the d-scaled class of mu, and that value equals the Hall
+    pairing of the d-th power of the Schur expansion with p_mu.
+    """
+    _check_limit("n", n, max_n)
+    _check_limit("d", d, max_d)
+    mus = partitions_of(d * n)
+    divisor = math.factorial(d)
+
+    def check(lam: Partition) -> tuple[int, list]:
+        failures = []
+        big = boxplus(lam, d)
+        power = symfunc.power_d(symfunc.schur_to_power(lam, cache), d, cache)
+        for mu in mus:
+            value = mn_value(big, scale(mu, d), cache)
+            if value % divisor != 0:
+                failures.append({
+                    "lambda": format_partition(lam),
+                    "mu": format_partition(mu),
+                    "relation": f"{divisor} divides value",
+                    "value": str(value),
+                })
+            pairing = symfunc.hall_inner(power, SymFunc.power(mu), cache)
+            if pairing != value:
+                failures.append({
+                    "lambda": format_partition(lam),
+                    "mu": format_partition(mu),
+                    "relation": "ribbon-stripping value = Hall pairing",
+                    "value": str(value),
+                    "pairing": symfunc.format_rational(pairing),
+                })
+        return len(mus), failures
+
+    return _timed(THM2_DIV, {"n": n, "d": d}, check, partitions_of(n), workers)
+
+
+def verify_theorem2_vanish(
+    n: int,
+    d: int,
+    max_n: int = DEFAULT_THM2_N,
+    max_d: int = DEFAULT_THM2_D,
+    cache: CharCache | None = None,
+    workers: int = 1,
+) -> VerificationReport:
+    """Check vanishing at d^2-scaled classes when d does not divide n."""
+    _check_limit("n", n, max_n)
+    _check_limit("d", d, max_d)
+    if n % d == 0:
+        raise ValueError(f"hypothesis d does not divide n violated: d = {d}, n = {n}")
+    nus = partitions_of(n)
+
+    def check(lam: Partition) -> tuple[int, list]:
+        failures = []
+        big = boxplus(lam, d)
+        for nu in nus:
+            value = mn_value(big, scale(nu, d * d), cache)
+            if value != 0:
+                failures.append({
+                    "lambda": format_partition(lam),
+                    "nu": format_partition(nu),
+                    "relation": "value = 0",
+                    "value": str(value),
+                })
+        return len(nus), failures
+
+    return _timed(THM2_VANISH, {"n": n, "d": d}, check, partitions_of(n), workers)
+
+
+def _submultisets(parts: tuple[int, ...], total: int) -> list[tuple[int, ...]]:
+    """Distinct submultisets of the given parts summing to total, each as a
+    weakly decreasing tuple, together with the remaining parts."""
+    distinct = sorted(set(parts), reverse=True)
+    counts = {p: parts.count(p) for p in distinct}
+    results = []
+
+    def descend(index: int, remaining: int, chosen: list[int]):
+        if remaining == 0:
+            taken = {p: chosen.count(p) for p in set(chosen)}
+            rest = []
+            for p in distinct:
+                rest.extend([p] * (counts[p] - taken.get(p, 0)))
+            results.append((tuple(chosen), tuple(rest)))
+            return
+        if index == len(distinct):
+            return
+        part = distinct[index]
+        limit = min(counts[part], remaining // part)
+        for take in range(limit, -1, -1):
+            descend(index + 1, remaining - take * part, chosen + [part] * take)
+
+    descend(0, total, [])
+    return results
+
+
+def _ordered_tuples(mu: Partition, n: int, d: int) -> list[tuple[Partition, ...]]:
+    """All ordered d-tuples of partitions of n whose multiset union is mu."""
+    tuples = []
+
+    def descend(remaining: tuple[int, ...], slots: int, chosen: list[Partition]):
+        if slots == 0:
+            if not remaining:
+                tuples.append(tuple(chosen))
+            return
+        for piece, rest in _submultisets(remaining, n):
+            descend(rest, slots - 1, chosen + [piece])
+
+    descend(mu, d, [])
+    return tuples
+
+
+def hall_summation_oracle(lam: Partition, mu: Partition, d: int, cache: CharCache | None = None) -> Fraction:
+    """Sum over ordered d-tuples of partitions of n with multiset union mu of
+    the centralizer ratio times the product of small character values.
+
+    Independent route to the subdivided character at the d-scaled class of
+    mu: it needs only characters of the small symmetric group.  Empty sum
+    (zero) when mu has a part larger than n.
+    """
+    lam = check_partition(lam)
+    mu = check_partition(mu)
+    n = sum(lam)
+    if sum(mu) != d * n:
+        raise ValueError(f"size mismatch: |mu| = {sum(mu)}, expected d*n = {d * n}")
+    if any(part > n for part in mu):
+        return Fraction(0)
+    z_mu = centralizer_order(mu)
+    total = Fraction(0)
+    for tup in _ordered_tuples(mu, n, d):
+        ratio = Fraction(z_mu)
+        value = 1
+        for piece in tup:
+            ratio /= centralizer_order(piece)
+            value *= mn_value(lam, piece, cache)
+        total += ratio * value
+    return total
+
+
+def orbit_divisibility_check(
+    lam: Partition, mu: Partition, d: int, cache: CharCache | None = None
+) -> VerificationReport:
+    """Check the rearrangement-orbit divisibility argument case by case.
+
+    Ordered tuples are grouped into orbits under rearrangement.  Per orbit
+    with multiplicity pattern sigma: the centralizer ratio is an integer
+    divisible by the product of the sigma_i factorials, the orbit size is
+    the multinomial d!/(sigma_1!...sigma_r!), and the orbit's total
+    contribution is divisible by d!.
+    """
+    start = time.perf_counter()
+    lam = check_partition(lam)
+    mu = check_partition(mu)
+    n = sum(lam)
+    if sum(mu) != d * n:
+        raise ValueError(f"size mismatch: |mu| = {sum(mu)}, expected d*n = {d * n}")
+    params = {"lambda": format_partition(lam), "mu": format_partition(mu), "d": d}
+    z_mu = centralizer_order(mu)
+    orbits: dict[tuple[Partition, ...], list[tuple[Partition, ...]]] = {}
+    for tup in _ordered_tuples(mu, n, d):
+        rep = tuple(sorted(tup, key=sort_key))
+        orbits.setdefault(rep, []).append(tup)
+    failures = []
+    for rep in sorted(orbits, key=lambda r: tuple(sort_key(piece) for piece in r)):
+        members = orbits[rep]
+        sigma = multiplicity_pattern(rep)
+        sigma_factorial = math.prod(math.factorial(s) for s in sigma)
+        expected_size = math.factorial(d) // sigma_factorial
+        rep_text = [format_partition(piece) for piece in rep]
+        if len(members) != expected_size:
+            failures.append({
+                "orbit": rep_text,
+                "relation": "orbit size = multinomial of sigma",
+                "size": len(members),
+                "expected": expected_size,
+            })
+        ratio = Fraction(z_mu)
+        value = 1
+        for piece in rep:
+            ratio /= centralizer_order(piece)
+            value *= mn_value(lam, piece, cache)
+        if ratio.denominator != 1 or ratio % sigma_factorial != 0:
+            failures.append({
+                "orbit": rep_text,
+                "relation": "centralizer ratio is an integer divisible by the sigma factorials",
+                "ratio": symfunc.format_rational(ratio),
+                "sigma": format_partition(sigma),
+            })
+        contribution = len(members) * ratio * value
+        if contribution.denominator != 1 or contribution % math.factorial(d) != 0:
+            failures.append({
+                "orbit": rep_text,
+                "relation": f"orbit contribution divisible by {math.factorial(d)}",
+                "contribution": symfunc.format_rational(contribution),
+            })
+    elapsed_ms = int((time.perf_counter() - start) * 1000)
+    return VerificationReport(HALL_ORACLE, params, len(orbits), failures, elapsed_ms)
+
+
+def verify_hall_oracle(
+    n: int,
+    d: int,
+    max_n: int = DEFAULT_ORACLE_N,
+    max_d: int = DEFAULT_THM2_D,
+    cache: CharCache | None = None,
+    workers: int = 1,
+) -> VerificationReport:
+    """Check the tuple-summation oracle against ribbon stripping, plus the
+    per-orbit divisibility, over every lambda of n and mu of d*n."""
+    _check_limit("n", n, max_n)
+    _check_limit("d", d, max_d)
+    mus = partitions_of(d * n)
+
+    def check(lam: Partition) -> tuple[int, list]:
+        failures = []
+        big = boxplus(lam, d)
+        for mu in mus:
+            oracle = hall_summation_oracle(lam, mu, d, cache)
+            stripped = mn_value(big, scale(mu, d), cache)
+            if oracle != stripped:
+                failures.append({
+                    "lambda": format_partition(lam),
+                    "mu": format_partition(mu),
+                    "relation": "tuple summation = ribbon stripping",
+                    "summation": symfunc.format_rational(oracle),
+                    "stripping": str(stripped),
+                })
+            orbit_report = orbit_divisibility_check(lam, mu, d, cache)
+            failures.extend(
+                dict(failure, **{"lambda": format_partition(lam), "mu": format_partition(mu)})
+                for failure in orbit_report.failures
+            )
+        return len(mus), failures
+
+    return _timed(HALL_ORACLE, {"n": n, "d": d}, check, partitions_of(n), workers)
+
+
+def run_verify_all(
+    thm1_n: int = DEFAULT_THM1_N,
+    thm1_d: int = DEFAULT_THM1_D,
+    littlewood_size: int = DEFAULT_LITTLEWOOD_SIZE,
+    thm2_n: int = DEFAULT_THM2_N,
+    thm2_d: int = DEFAULT_THM2_D,
+    cache: CharCache | None = None,
+    workers: int = 1,
+) -> list[VerificationReport]:
+    """Run every sweep over the configured grids, in a fixed order.
+
+    The d-grids start at 2 (d = 1 cases are identities).  The vanishing
+    sweep keeps only the pairs with d not dividing n.
+    """
+    reports = []
+    for n in range(1, thm1_n + 1):
+        for d in range(2, thm1_d + 1):
+            reports.append(verify_theorem1(n, d, thm1_n, thm1_d, cache, workers))
+    for n in range(1, thm1_n + 1):
+        for d in range(2, thm1_d + 1):
+            reports.append(verify_theorem1_scaled(n, d, thm1_n, thm1_d, cache, workers))
+    for d in range(2, thm1_d + 1):
+        reports.append(verify_littlewood(littlewood_size, d, littlewood_size, cache, workers))
+    for n in range(1, thm2_n + 1):
+        for d in range(2, thm2_d + 1):
+            reports.append(verify_theorem2_div(n, d, thm2_n, thm2_d, cache, workers))
+    for n in range(1, thm2_n + 1):
+        for d in range(2, thm2_d + 1):
+            if n % d != 0:
+                reports.append(verify_theorem2_vanish(n, d, thm2_n, thm2_d, cache, workers))
+    for n in range(1, min(thm2_n, DEFAULT_ORACLE_N) + 1):
+        for d in range(2, thm2_d + 1):
+            reports.append(verify_hall_oracle(n, d, DEFAULT_ORACLE_N, thm2_d, cache, workers))
+    return reports
