@@ -22,6 +22,7 @@ Conventions fixed here, since the literature varies:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .partitions import EMPTY, Partition, PartitionError, check_partition
@@ -39,9 +40,7 @@ class BetaSet:
 
     def to_partition(self) -> Partition:
         """Decode: subtract the staircase t-1-i and drop zero parts."""
-        t = len(self.betas)
-        parts = [b - (t - 1 - i) for i, b in enumerate(self.betas)]
-        return tuple(part for part in parts if part > 0)
+        return _decode(self.betas)
 
 
 def beta_set(lam: Partition, t: int) -> BetaSet:
@@ -53,7 +52,7 @@ def beta_set(lam: Partition, t: int) -> BetaSet:
     return BetaSet(tuple(padded[i] + t - 1 - i for i in range(t)))
 
 
-def _decode(betas_desc: list[int]) -> Partition:
+def _decode(betas_desc: Sequence[int]) -> Partition:
     t = len(betas_desc)
     return tuple(b - (t - 1 - i) for i, b in enumerate(betas_desc) if b - (t - 1 - i) > 0)
 

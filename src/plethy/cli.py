@@ -45,7 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact symmetric-group character computations around the grid-subdivision embedding.",
     )
     parser.add_argument("--config", help="path to a key = value config file (default: $PLETHY_CONFIG if set)")
-    parser.add_argument("--workers", type=int, help="worker cap for verification sweeps")
     commands = parser.add_subparsers(dest="command", required=True)
 
     p_table = commands.add_parser("table", help="character table of the symmetric group on n letters")
@@ -95,16 +94,6 @@ def _emit(text: str, out: str | None) -> None:
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
-
-
-def _load_effective_config(args: argparse.Namespace) -> Config:
-    path = args.config or os.environ.get("PLETHY_CONFIG")
-    config = load_config(path) if path else Config()
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ValueError(f"--workers must be positive, got {args.workers}")
-        config.parallelism = args.workers
-    return config
 
 
 def cmd_table(args: argparse.Namespace, config: Config, cache: CharCache) -> int:
@@ -193,33 +182,25 @@ def cmd_quotient(args: argparse.Namespace, config: Config) -> int:
     return 0
 
 
+def _sweep_table(config: Config) -> dict:
+    """verify subcommand -> (sweep, flag giving its size, default size, default d, the sweep's limits)."""
+    thm1_limits = (config.thm1_n, config.thm1_d)
+    thm2_limits = (config.thm2_n, config.thm2_d)
+    oracle_n = verify_mod.DEFAULT_ORACLE_N
+    return {
+        "thm1": (verify_mod.verify_theorem1, "n", config.thm1_n, config.thm1_d, thm1_limits),
+        "thm1-scaled": (verify_mod.verify_theorem1_scaled, "n", config.thm1_n, config.thm1_d, thm1_limits),
+        "littlewood": (verify_mod.verify_littlewood, "max_size", config.littlewood_size, 2, (config.littlewood_size,)),
+        "thm2-div": (verify_mod.verify_theorem2_div, "n", config.thm2_n, config.thm2_d, thm2_limits),
+        "thm2-vanish": (verify_mod.verify_theorem2_vanish, "n", config.thm2_n, config.thm2_d, thm2_limits),
+        "oracle": (
+            verify_mod.verify_hall_oracle, "n", min(config.thm2_n, oracle_n), config.thm2_d, (oracle_n, config.thm2_d)
+        ),
+    }
+
+
 def cmd_verify(args: argparse.Namespace, config: Config, cache: CharCache) -> int:
-    workers = config.parallelism
-    if args.which == "thm1":
-        n = args.n if args.n is not None else config.thm1_n
-        d = args.d if args.d is not None else config.thm1_d
-        reports = [verify_mod.verify_theorem1(n, d, config.thm1_n, config.thm1_d, cache, workers)]
-    elif args.which == "thm1-scaled":
-        n = args.n if args.n is not None else config.thm1_n
-        d = args.d if args.d is not None else config.thm1_d
-        reports = [verify_mod.verify_theorem1_scaled(n, d, config.thm1_n, config.thm1_d, cache, workers)]
-    elif args.which == "littlewood":
-        size = args.max_size if args.max_size is not None else config.littlewood_size
-        d = args.d if args.d is not None else 2
-        reports = [verify_mod.verify_littlewood(size, d, config.littlewood_size, cache, workers)]
-    elif args.which == "thm2-div":
-        n = args.n if args.n is not None else config.thm2_n
-        d = args.d if args.d is not None else config.thm2_d
-        reports = [verify_mod.verify_theorem2_div(n, d, config.thm2_n, config.thm2_d, cache, workers)]
-    elif args.which == "thm2-vanish":
-        n = args.n if args.n is not None else config.thm2_n
-        d = args.d if args.d is not None else config.thm2_d
-        reports = [verify_mod.verify_theorem2_vanish(n, d, config.thm2_n, config.thm2_d, cache, workers)]
-    elif args.which == "oracle":
-        n = args.n if args.n is not None else min(config.thm2_n, verify_mod.DEFAULT_ORACLE_N)
-        d = args.d if args.d is not None else config.thm2_d
-        reports = [verify_mod.verify_hall_oracle(n, d, verify_mod.DEFAULT_ORACLE_N, config.thm2_d, cache, workers)]
-    else:
+    if args.which == "all":
         reports = verify_mod.run_verify_all(
             config.thm1_n,
             config.thm1_d,
@@ -227,8 +208,14 @@ def cmd_verify(args: argparse.Namespace, config: Config, cache: CharCache) -> in
             config.thm2_n,
             config.thm2_d,
             cache,
-            workers,
         )
+    else:
+        sweep, size_flag, size, d, limits = _sweep_table(config)[args.which]
+        if getattr(args, size_flag) is not None:
+            size = getattr(args, size_flag)
+        if args.d is not None:
+            d = args.d
+        reports = [sweep(size, d, *limits, cache)]
     if not args.timings:
         reports = [report.without_timing() for report in reports]
     all_pass = all(report.status == "PASS" for report in reports)
@@ -258,6 +245,9 @@ def cmd_cache(args: argparse.Namespace, config: Config) -> int:
     return 0
 
 
+_CACHE_COMMANDS = {"table": cmd_table, "boxplus": cmd_boxplus, "verify": cmd_verify}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -266,24 +256,15 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        config = _load_effective_config(args)
-        if args.command == "table":
+        path = args.config or os.environ.get("PLETHY_CONFIG")
+        config = load_config(path) if path else Config()
+        if args.command in _CACHE_COMMANDS:
             cache = CharCache(config.cache_path)
-            code = cmd_table(args, config, cache)
-            cache.flush()
-            return code
-        if args.command == "boxplus":
-            cache = CharCache(config.cache_path)
-            code = cmd_boxplus(args, config, cache)
+            code = _CACHE_COMMANDS[args.command](args, config, cache)
             cache.flush()
             return code
         if args.command == "quotient":
             return cmd_quotient(args, config)
-        if args.command == "verify":
-            cache = CharCache(config.cache_path)
-            code = cmd_verify(args, config, cache)
-            cache.flush()
-            return code
         if args.command == "cache":
             return cmd_cache(args, config)
         _emit(config.to_text(), None)
@@ -295,3 +276,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry_point() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry_point()

@@ -2,15 +2,28 @@
 
 Stored as a plain "key = value" text file.  Blank lines and lines starting
 with "#" are ignored.  Unknown keys are rejected so that typos surface
-instead of silently falling back to defaults.
+instead of silently falling back to defaults; a key that earlier versions
+wrote but that no longer exists is skipped with a note on stderr.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass, fields
 
+from .mn import DEFAULT_TABLE_LIMIT
+from .verify import (
+    DEFAULT_LITTLEWOOD_SIZE,
+    DEFAULT_THM1_D,
+    DEFAULT_THM1_N,
+    DEFAULT_THM2_D,
+    DEFAULT_THM2_N,
+)
+
 OUTPUT_FORMATS = ("json", "csv")
+_INT_KEYS = ("max_table_n", "thm1_n", "thm1_d", "littlewood_size", "thm2_n", "thm2_d")
+_STR_KEYS = ("cache_path", "output_format")
 
 
 def default_cache_path() -> str:
@@ -21,24 +34,21 @@ def default_cache_path() -> str:
 @dataclass
 class Config:
     cache_path: str = ""
-    max_table_n: int = 18
-    thm1_n: int = 5
-    thm1_d: int = 3
-    littlewood_size: int = 8
-    thm2_n: int = 4
-    thm2_d: int = 3
+    max_table_n: int = DEFAULT_TABLE_LIMIT
+    thm1_n: int = DEFAULT_THM1_N
+    thm1_d: int = DEFAULT_THM1_D
+    littlewood_size: int = DEFAULT_LITTLEWOOD_SIZE
+    thm2_n: int = DEFAULT_THM2_N
+    thm2_d: int = DEFAULT_THM2_D
     output_format: str = "json"
-    parallelism: int = 0
 
     def __post_init__(self):
         if not self.cache_path:
             self.cache_path = default_cache_path()
-        if not self.parallelism:
-            self.parallelism = os.cpu_count() or 1
         self.validate()
 
     def validate(self) -> None:
-        for name in ("max_table_n", "thm1_n", "thm1_d", "littlewood_size", "thm2_n", "thm2_d", "parallelism"):
+        for name in _INT_KEYS:
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
                 raise ValueError(f"config key {name} must be a positive integer, got {value!r}")
@@ -52,10 +62,6 @@ class Config:
         for spec in fields(self):
             lines.append(f"{spec.name} = {getattr(self, spec.name)}")
         return "\n".join(lines) + "\n"
-
-
-_INT_KEYS = {"max_table_n", "thm1_n", "thm1_d", "littlewood_size", "thm2_n", "thm2_d", "parallelism"}
-_STR_KEYS = {"cache_path", "output_format"}
 
 
 def parse_config(text: str) -> Config:
@@ -76,6 +82,8 @@ def parse_config(text: str) -> Config:
                 raise ValueError(f"config key {key} needs an integer, got {value!r}") from None
         elif key in _STR_KEYS:
             values[key] = value
+        elif key == "parallelism":
+            print(f"note: config key parallelism on line {lineno} was removed and is ignored", file=sys.stderr)
         else:
             raise ValueError(f"unknown config key {key!r} on line {lineno}")
     return Config(**values)

@@ -9,7 +9,6 @@ intermediate calls deterministic.
 from __future__ import annotations
 
 import os
-import threading
 
 from .abacus import remove_ribbons
 from .partitions import Partition, check_partition, format_partition, parse_partition, partitions_of
@@ -29,10 +28,9 @@ class CharCache:
     """Memo of character values keyed by (shape, cycle type).
 
     A pure memo: entries re-derived from scratch are always identical, so a
-    stale or deleted file never changes results, only speed.  Concurrent
-    readers need no coordination (lookups hit an ordinary dict); writers are
-    serialized on an internal lock, and a reader that misses simply
-    recomputes.
+    stale or deleted file never changes results, only speed.  Not locked:
+    threads that share one cache still get consistent values, but its file
+    may gain an entry twice or miss one.
 
     With a path, the file is loaded wholesale on construction and new
     entries are appended in a single write per flush().  The format is one
@@ -44,7 +42,6 @@ class CharCache:
         self.path = os.fspath(path) if path is not None else None
         self._values: dict[tuple[Partition, Partition], int] = {}
         self._pending: list[tuple[Partition, Partition, int]] = []
-        self._lock = threading.Lock()
         if self.path is not None and os.path.exists(self.path):
             self._load()
 
@@ -71,15 +68,13 @@ class CharCache:
         return self._values.get((nu, rho))
 
     def put(self, nu: Partition, rho: Partition, value: int) -> None:
-        with self._lock:
-            if (nu, rho) not in self._values:
-                self._values[(nu, rho)] = value
-                self._pending.append((nu, rho, value))
+        if (nu, rho) not in self._values:
+            self._values[(nu, rho)] = value
+            self._pending.append((nu, rho, value))
 
     def flush(self) -> None:
         """Append entries recorded since the last flush in one atomic write."""
-        with self._lock:
-            pending, self._pending = self._pending, []
+        pending, self._pending = self._pending, []
         if self.path is None or not pending:
             return
         lines = "".join(
@@ -92,9 +87,8 @@ class CharCache:
             handle.write(lines)
 
     def clear(self) -> None:
-        with self._lock:
-            self._values.clear()
-            self._pending.clear()
+        self._values.clear()
+        self._pending.clear()
         if self.path is not None and os.path.exists(self.path):
             os.remove(self.path)
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -37,6 +36,7 @@ from . import symfunc
 from .characters import (
     ROUTE_DIRECT,
     ROUTE_PLETHYSTIC,
+    ClassFunction,
     boxplus_classfunction,
     decompose,
     scaled_classfunction,
@@ -106,20 +106,12 @@ def _check_limit(name: str, value: int, limit: int) -> None:
         raise ValueError(f"{name} = {value} exceeds the limit {limit}")
 
 
-def _map_ordered(fn: Callable, items: Sequence, workers: int) -> list:
-    """Apply fn to items, preserving input order; fan out when workers > 1."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def _timed(theorem: str, params: dict, worker: Callable, items: Sequence, workers: int) -> VerificationReport:
+def _timed(theorem: str, params: dict, worker: Callable, items: Sequence) -> VerificationReport:
     """Run worker over items, merge (cases, failures) pairs in input order."""
     start = time.perf_counter()
     cases = 0
     failures = []
-    for case_count, case_failures in _map_ordered(worker, items, workers):
+    for case_count, case_failures in map(worker, items):
         cases += case_count
         failures.extend(case_failures)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
@@ -141,13 +133,39 @@ def f_dim(lam: Partition) -> int:
     return dim
 
 
+def _character_failures(lam: Partition, phi: ClassFunction, cache: CharCache | None) -> list:
+    """Check that phi, built from lam, is a character: its decomposition has
+    nonnegative integer multiplicities, and re-synthesizing from them
+    reproduces phi at every class."""
+    failures = []
+    mults = decompose(phi, cache)
+    for nu, m in sorted(mults.items(), key=lambda item: sort_key(item[0])):
+        if m.denominator != 1 or m < 0:
+            failures.append({
+                "lambda": format_partition(lam),
+                "irreducible": format_partition(nu),
+                "relation": "multiplicity is a nonnegative integer",
+                "multiplicity": symfunc.format_rational(m),
+            })
+    for mu, value in phi.values.items():
+        resynth = sum((m * Fraction(mn_value(nu, mu, cache)) for nu, m in mults.items()), Fraction(0))
+        if resynth != value:
+            failures.append({
+                "lambda": format_partition(lam),
+                "mu": format_partition(mu),
+                "relation": "sum of multiplicities times irreducibles = class function",
+                "resynthesized": symfunc.format_rational(resynth),
+                "value": symfunc.format_rational(value),
+            })
+    return failures
+
+
 def verify_theorem1(
     n: int,
     d: int,
     max_n: int = DEFAULT_THM1_N,
     max_d: int = DEFAULT_THM1_D,
     cache: CharCache | None = None,
-    workers: int = 1,
 ) -> VerificationReport:
     """Check that the grid-subdivided class function is a genuine character.
 
@@ -174,25 +192,7 @@ def verify_theorem1(
                     "direct": symfunc.format_rational(direct.values[mu]),
                     "plethystic": symfunc.format_rational(plethystic.values[mu]),
                 })
-        mults = decompose(direct, cache)
-        for nu, m in sorted(mults.items(), key=lambda item: sort_key(item[0])):
-            if m.denominator != 1 or m < 0:
-                failures.append({
-                    "lambda": format_partition(lam),
-                    "irreducible": format_partition(nu),
-                    "relation": "multiplicity is a nonnegative integer",
-                    "multiplicity": symfunc.format_rational(m),
-                })
-        for mu in mus:
-            resynth = sum((m * Fraction(mn_value(nu, mu, cache)) for nu, m in mults.items()), Fraction(0))
-            if resynth != direct.values[mu]:
-                failures.append({
-                    "lambda": format_partition(lam),
-                    "mu": format_partition(mu),
-                    "relation": "sum of multiplicities times irreducibles = class function",
-                    "resynthesized": symfunc.format_rational(resynth),
-                    "value": symfunc.format_rational(direct.values[mu]),
-                })
+        failures.extend(_character_failures(lam, direct, cache))
         expected_dim = math.factorial(d * n) // math.factorial(n) ** d * f_dim(lam) ** d
         if direct.values[identity] != expected_dim:
             failures.append({
@@ -203,7 +203,7 @@ def verify_theorem1(
             })
         return 1, failures
 
-    return _timed(THM1, {"n": n, "d": d}, check, partitions_of(n), workers)
+    return _timed(THM1, {"n": n, "d": d}, check, partitions_of(n))
 
 
 def verify_theorem1_scaled(
@@ -212,38 +212,15 @@ def verify_theorem1_scaled(
     max_n: int = DEFAULT_THM1_N,
     max_d: int = DEFAULT_THM1_D,
     cache: CharCache | None = None,
-    workers: int = 1,
 ) -> VerificationReport:
     """Check that the part-scaled class function is a genuine character."""
     _check_limit("n", n, max_n)
     _check_limit("d", d, max_d)
-    mus = partitions_of(n)
 
     def check(lam: Partition) -> tuple[int, list]:
-        failures = []
-        phi = scaled_classfunction(lam, d, cache)
-        mults = decompose(phi, cache)
-        for nu, m in sorted(mults.items(), key=lambda item: sort_key(item[0])):
-            if m.denominator != 1 or m < 0:
-                failures.append({
-                    "lambda": format_partition(lam),
-                    "irreducible": format_partition(nu),
-                    "relation": "multiplicity is a nonnegative integer",
-                    "multiplicity": symfunc.format_rational(m),
-                })
-        for mu in mus:
-            resynth = sum((m * Fraction(mn_value(nu, mu, cache)) for nu, m in mults.items()), Fraction(0))
-            if resynth != phi.values[mu]:
-                failures.append({
-                    "lambda": format_partition(lam),
-                    "mu": format_partition(mu),
-                    "relation": "sum of multiplicities times irreducibles = class function",
-                    "resynthesized": symfunc.format_rational(resynth),
-                    "value": symfunc.format_rational(phi.values[mu]),
-                })
-        return 1, failures
+        return 1, _character_failures(lam, scaled_classfunction(lam, d, cache), cache)
 
-    return _timed(THM1_SCALED, {"n": n, "d": d}, check, partitions_of(n), workers)
+    return _timed(THM1_SCALED, {"n": n, "d": d}, check, partitions_of(n))
 
 
 def verify_littlewood(
@@ -251,7 +228,6 @@ def verify_littlewood(
     d: int,
     bound: int = DEFAULT_LITTLEWOOD_SIZE,
     cache: CharCache | None = None,
-    workers: int = 1,
 ) -> VerificationReport:
     """Check the abacus route for the adjoint against the power-basis route.
 
@@ -279,7 +255,7 @@ def verify_littlewood(
             }]
         return 1, []
 
-    return _timed(LITTLEWOOD, {"max_size": max_size, "d": d}, check, nus, workers)
+    return _timed(LITTLEWOOD, {"max_size": max_size, "d": d}, check, nus)
 
 
 def verify_theorem2_div(
@@ -288,7 +264,6 @@ def verify_theorem2_div(
     max_n: int = DEFAULT_THM2_N,
     max_d: int = DEFAULT_THM2_D,
     cache: CharCache | None = None,
-    workers: int = 1,
 ) -> VerificationReport:
     """Check d! divisibility of subdivided characters at part-scaled classes.
 
@@ -325,7 +300,7 @@ def verify_theorem2_div(
                 })
         return len(mus), failures
 
-    return _timed(THM2_DIV, {"n": n, "d": d}, check, partitions_of(n), workers)
+    return _timed(THM2_DIV, {"n": n, "d": d}, check, partitions_of(n))
 
 
 def verify_theorem2_vanish(
@@ -334,7 +309,6 @@ def verify_theorem2_vanish(
     max_n: int = DEFAULT_THM2_N,
     max_d: int = DEFAULT_THM2_D,
     cache: CharCache | None = None,
-    workers: int = 1,
 ) -> VerificationReport:
     """Check vanishing at d^2-scaled classes when d does not divide n."""
     _check_limit("n", n, max_n)
@@ -357,7 +331,7 @@ def verify_theorem2_vanish(
                 })
         return len(nus), failures
 
-    return _timed(THM2_VANISH, {"n": n, "d": d}, check, partitions_of(n), workers)
+    return _timed(THM2_VANISH, {"n": n, "d": d}, check, partitions_of(n))
 
 
 def _submultisets(parts: tuple[int, ...], total: int) -> list[tuple[int, ...]]:
@@ -495,7 +469,6 @@ def verify_hall_oracle(
     max_n: int = DEFAULT_ORACLE_N,
     max_d: int = DEFAULT_THM2_D,
     cache: CharCache | None = None,
-    workers: int = 1,
 ) -> VerificationReport:
     """Check the tuple-summation oracle against ribbon stripping, plus the
     per-orbit divisibility, over every lambda of n and mu of d*n."""
@@ -524,7 +497,7 @@ def verify_hall_oracle(
             )
         return len(mus), failures
 
-    return _timed(HALL_ORACLE, {"n": n, "d": d}, check, partitions_of(n), workers)
+    return _timed(HALL_ORACLE, {"n": n, "d": d}, check, partitions_of(n))
 
 
 def run_verify_all(
@@ -534,7 +507,6 @@ def run_verify_all(
     thm2_n: int = DEFAULT_THM2_N,
     thm2_d: int = DEFAULT_THM2_D,
     cache: CharCache | None = None,
-    workers: int = 1,
 ) -> list[VerificationReport]:
     """Run every sweep over the configured grids, in a fixed order.
 
@@ -544,20 +516,20 @@ def run_verify_all(
     reports = []
     for n in range(1, thm1_n + 1):
         for d in range(2, thm1_d + 1):
-            reports.append(verify_theorem1(n, d, thm1_n, thm1_d, cache, workers))
+            reports.append(verify_theorem1(n, d, thm1_n, thm1_d, cache))
     for n in range(1, thm1_n + 1):
         for d in range(2, thm1_d + 1):
-            reports.append(verify_theorem1_scaled(n, d, thm1_n, thm1_d, cache, workers))
+            reports.append(verify_theorem1_scaled(n, d, thm1_n, thm1_d, cache))
     for d in range(2, thm1_d + 1):
-        reports.append(verify_littlewood(littlewood_size, d, littlewood_size, cache, workers))
+        reports.append(verify_littlewood(littlewood_size, d, littlewood_size, cache))
     for n in range(1, thm2_n + 1):
         for d in range(2, thm2_d + 1):
-            reports.append(verify_theorem2_div(n, d, thm2_n, thm2_d, cache, workers))
+            reports.append(verify_theorem2_div(n, d, thm2_n, thm2_d, cache))
     for n in range(1, thm2_n + 1):
         for d in range(2, thm2_d + 1):
             if n % d != 0:
-                reports.append(verify_theorem2_vanish(n, d, thm2_n, thm2_d, cache, workers))
+                reports.append(verify_theorem2_vanish(n, d, thm2_n, thm2_d, cache))
     for n in range(1, min(thm2_n, DEFAULT_ORACLE_N) + 1):
         for d in range(2, thm2_d + 1):
-            reports.append(verify_hall_oracle(n, d, DEFAULT_ORACLE_N, thm2_d, cache, workers))
+            reports.append(verify_hall_oracle(n, d, DEFAULT_ORACLE_N, thm2_d, cache))
     return reports

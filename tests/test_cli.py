@@ -1,9 +1,12 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import plethy
 from plethy import (
     CharCache,
     Config,
@@ -148,7 +151,7 @@ class TestVerifyCommand:
     def test_failing_sweep_exits_one(self, capsys, monkeypatch):
         from plethy import verify as verify_mod
 
-        def broken(n, d, max_n, max_d, cache, workers):
+        def broken(n, d, max_n, max_d, cache):
             return verify_mod.VerificationReport(
                 "Thm1", {"n": n, "d": d}, 1, [{"relation": "direct route = plethystic route"}]
             )
@@ -165,14 +168,24 @@ class TestVerifyCommand:
         assert code == 2
         assert "n = 9 exceeds the limit 5" in err
 
-    def test_bad_workers_rejected(self, capsys):
-        code, out, err = run_cli(capsys, "--workers", "0", "verify", "thm1", "--n", "1")
-        assert code == 2
-        assert "--workers must be positive" in err
+    def test_removed_workers_flag_is_usage_error(self, capsys):
+        assert run_cli(capsys, "--workers", "2", "verify", "thm1", "--n", "1")[0] == 2
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run_cli(capsys, "verify", "everything")[0] == 2
         assert run_cli(capsys, "frobnicate")[0] == 2
+
+    def test_module_run_prints_report(self):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(plethy.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "plethy.cli", "verify", "thm1", "--n", "1"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["status"] == "PASS"
 
     def test_out_writes_file_and_keeps_stdout_clean(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -232,11 +245,28 @@ class TestConfigHandling:
             thm2_n=3,
             thm2_d=2,
             output_format="csv",
-            parallelism=2,
         )
         path = tmp_path / "saved.cfg"
         save_config(config, str(path))
         assert load_config(str(path)) == config
+
+    def test_removed_parallelism_key_is_ignored_with_a_note(self, capsys, tmp_path):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("parallelism = 2\n", encoding="utf-8")
+        assert load_config(str(cfg)) == Config()
+        assert capsys.readouterr().err.count("parallelism") == 1
+        code, with_config, err = run_cli(capsys, "--config", str(cfg), "verify", "thm1", "--n", "1")
+        assert code == 0 and "removed" in err
+        code, without_config, err = run_cli(capsys, "verify", "thm1", "--n", "1")
+        assert code == 0 and err == ""
+        assert with_config == without_config
+
+    def test_saved_config_does_not_depend_on_core_count(self, monkeypatch):
+        texts = set()
+        for cores in (2, 8):
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            texts.add(Config().to_text())
+        assert len(texts) == 1
 
     def test_parse_rejects_unknown_key(self):
         with pytest.raises(ValueError, match="unknown config key 'colour' on line 2"):

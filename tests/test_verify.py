@@ -249,8 +249,3 @@ class TestRunVerifyAll:
         assert all(r.status == "PASS" for r in reports)
         vanish = [r for r in reports if r.theorem == "Thm2Vanish"]
         assert [r.params for r in vanish] == [{"n": 1, "d": 2}]
-
-    def test_workers_do_not_change_results(self):
-        serial = run_verify_all(thm1_n=2, thm1_d=2, littlewood_size=2, thm2_n=2, thm2_d=2, workers=1)
-        fanned = run_verify_all(thm1_n=2, thm1_d=2, littlewood_size=2, thm2_n=2, thm2_d=2, workers=2)
-        assert [r.without_timing() for r in serial] == [r.without_timing() for r in fanned]
