@@ -1,7 +1,7 @@
 """Exact symmetric-group character computations around the grid-subdivision
-embedding: partitions, abacus combinatorics, symmetric functions in the
-power-sum and Schur bases, ribbon-stripping character values with a
-persistent cache, and theorem-verification sweeps."""
+embedding: partitions, abacus combinatorics, symmetric functions expanded in
+power sums, ribbon-stripping character values with a persistent cache, and
+theorem-verification sweeps."""
 
 from .abacus import (
     BetaSet,
@@ -45,8 +45,6 @@ from .partitions import (
     union_power,
 )
 from .symfunc import (
-    POWER,
-    SCHUR,
     SymFunc,
     format_rational,
     hall_inner,

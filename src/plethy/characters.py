@@ -30,7 +30,7 @@ from .partitions import (
     scale,
     union_power,
 )
-from .symfunc import POWER, SymFunc
+from .symfunc import SymFunc
 
 ROUTE_DIRECT = "direct"
 ROUTE_PLETHYSTIC = "plethystic"
@@ -108,15 +108,11 @@ def irreducible_character(lam: Partition, cache: CharCache | None = None) -> Cla
 
 def ch(phi: ClassFunction) -> SymFunc:
     """Characteristic map: sum of value(mu)/z_mu * p_mu over cycle types."""
-    return SymFunc(
-        POWER,
-        {mu: value / centralizer_order(mu) for mu, value in phi.values.items()},
-    )
+    return SymFunc({mu: value / centralizer_order(mu) for mu, value in phi.values.items()})
 
 
-def ch_inverse(f: SymFunc, n: int, cache: CharCache | None = None) -> ClassFunction:
+def ch_inverse(f: SymFunc, n: int) -> ClassFunction:
     """Inverse characteristic map; the value at mu is the pairing with p_mu."""
-    f = symfunc.to_power(f, cache)
     if any(sum(key) != n for key in f.terms):
         raise ValueError(f"not homogeneous of degree {n}: degrees {f.degrees()}")
     return ClassFunction(
@@ -125,20 +121,19 @@ def ch_inverse(f: SymFunc, n: int, cache: CharCache | None = None) -> ClassFunct
     )
 
 
-def induction_product(phi: ClassFunction, psi: ClassFunction, cache: CharCache | None = None) -> ClassFunction:
+def induction_product(phi: ClassFunction, psi: ClassFunction) -> ClassFunction:
     """Induce the outer tensor product up to the symmetric group on n+m letters.
 
     Computed on the symmetric-function side, where the characteristic map
     turns it into plain multiplication.
     """
-    product = symfunc.multiply(ch(phi), ch(psi), cache)
-    return ch_inverse(product, phi.n + psi.n, cache)
+    return ch_inverse(symfunc.multiply(ch(phi), ch(psi)), phi.n + psi.n)
 
 
 def decompose(phi: ClassFunction, cache: CharCache | None = None) -> dict[Partition, Fraction]:
-    """Multiplicities of the irreducible characters in phi; zeros omitted."""
-    expansion = symfunc.power_to_schur(ch(phi), cache)
-    return dict(expansion.sorted_items())
+    """Multiplicities of the irreducible characters in phi, in sort_key
+    order; zeros omitted."""
+    return symfunc.power_to_schur(ch(phi), cache)
 
 
 def boxplus_classfunction(
@@ -165,11 +160,8 @@ def boxplus_classfunction(
         big = boxplus(lam, d)
         values = {mu: Fraction(mn_value(big, boxplus(mu, d), cache)) for mu in partitions_of(n)}
     elif route == ROUTE_PLETHYSTIC:
-        power = symfunc.power_d(symfunc.schur_to_power(lam, cache), d, cache)
-        values = {
-            mu: symfunc.hall_inner(power, SymFunc.power(union_power(mu, d)), cache)
-            for mu in partitions_of(n)
-        }
+        power = symfunc.power_d(symfunc.schur_to_power(lam, cache), d)
+        values = {mu: symfunc.hall_inner(power, SymFunc.power(union_power(mu, d))) for mu in partitions_of(n)}
     else:
         raise ValueError(f"unknown route {route!r}, expected {ROUTE_DIRECT!r} or {ROUTE_PLETHYSTIC!r}")
     return ClassFunction(n, values)

@@ -32,7 +32,6 @@ from .partitions import (
     format_partition,
     parse_partition,
     partitions_of,
-    sort_key,
 )
 from .symfunc import format_rational
 
@@ -132,10 +131,7 @@ def cmd_boxplus(args: argparse.Namespace, config: Config, cache: CharCache) -> i
         routes[ROUTE_PLETHYSTIC] = boxplus_classfunction(lam, args.d, ROUTE_PLETHYSTIC, cache)
     primary = routes.get(ROUTE_DIRECT) or routes[ROUTE_PLETHYSTIC]
     mults = decompose(primary, cache)
-    decomposition = {
-        format_partition(nu): format_rational(m)
-        for nu, m in sorted(mults.items(), key=lambda item: sort_key(item[0]))
-    }
+    decomposition = {format_partition(nu): format_rational(m) for nu, m in mults.items()}
     fmt = args.format or config.output_format
     if fmt == "csv":
         buffer = io.StringIO()
@@ -190,7 +186,9 @@ def _sweep_table(config: Config) -> dict:
     return {
         "thm1": (verify_mod.verify_theorem1, "n", config.thm1_n, config.thm1_d, thm1_limits),
         "thm1-scaled": (verify_mod.verify_theorem1_scaled, "n", config.thm1_n, config.thm1_d, thm1_limits),
-        "littlewood": (verify_mod.verify_littlewood, "max_size", config.littlewood_size, 2, (config.littlewood_size,)),
+        "littlewood": (
+            verify_mod.verify_littlewood, "max_size", config.littlewood_size, 2, (config.littlewood_size, config.thm1_d)
+        ),
         "thm2-div": (verify_mod.verify_theorem2_div, "n", config.thm2_n, config.thm2_d, thm2_limits),
         "thm2-vanish": (verify_mod.verify_theorem2_vanish, "n", config.thm2_n, config.thm2_d, thm2_limits),
         "oracle": (
@@ -231,16 +229,14 @@ def cmd_verify(args: argparse.Namespace, config: Config, cache: CharCache) -> in
 
 
 def cmd_cache(args: argparse.Namespace, config: Config) -> int:
-    cache = CharCache(config.cache_path)
+    path = config.cache_path
     if args.action == "info":
-        payload = {
-            "path": config.cache_path,
-            "exists": os.path.exists(config.cache_path),
-            "entries": len(cache),
-        }
+        payload = {"path": path, "exists": os.path.exists(path), "entries": len(CharCache(path))}
     else:
-        cache.clear()
-        payload = {"path": config.cache_path, "cleared": True}
+        # Deleted unread, so a corrupt file cannot block its own removal.
+        if os.path.exists(path):
+            os.remove(path)
+        payload = {"path": path, "cleared": True}
     _emit(_json_text(payload), None)
     return 0
 

@@ -14,6 +14,7 @@ from .abacus import remove_ribbons
 from .partitions import Partition, check_partition, format_partition, parse_partition, partitions_of
 
 DEFAULT_TABLE_LIMIT = 18
+_CLEAR_HINT = "; run 'plethy cache clear' to delete the cache file"
 
 
 class DegreeMismatchError(ValueError):
@@ -57,10 +58,11 @@ class CharCache:
                     key = (parse_partition(nu_text), parse_partition(rho_text))
                     value = int(value_part)
                 except ValueError as exc:
-                    raise CacheFormatError(f"{self.path}:{lineno}: bad cache line {line!r}") from exc
+                    raise CacheFormatError(f"{self.path}:{lineno}: bad cache line {line!r}{_CLEAR_HINT}") from exc
                 if key in self._values and self._values[key] != value:
                     raise CacheFormatError(
-                        f"{self.path}:{lineno}: conflicting values {self._values[key]} and {value} for {line!r}"
+                        f"{self.path}:{lineno}: conflicting values {self._values[key]} and {value}"
+                        f" for {line!r}{_CLEAR_HINT}"
                     )
                 self._values[key] = value
 

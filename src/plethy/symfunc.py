@@ -1,10 +1,12 @@
-"""Sparse exact symmetric functions in the power-sum and Schur bases.
+"""Sparse exact symmetric functions, expanded in power sums.
 
-Elements are finite maps from partitions to rationals, tagged with the basis
-they expand.  The power-sum basis is the canonical internal one: there
+A SymFunc is a finite map from partitions mu to the rational coefficients of
+the power sums p_mu.  That is the one representation used for computing:
 multiplication is multiset union of keys, the Hall pairing is diagonal, and
-the variable-power substitution and its adjoint act monomially.  Schur is a
-view reached through the character-table transition
+the variable-power substitution and its adjoint act monomially.  Schur
+expansions are plain {partition: Fraction} dicts, produced by power_to_schur
+and turned back into power sums by to_power, through the character-table
+transition
 
     s_lam = sum over mu of (chi^lam_mu / z_mu) * p_mu
 
@@ -44,11 +46,6 @@ from .partitions import (
     union,
 )
 
-POWER = "p"
-SCHUR = "s"
-_BASES = (POWER, SCHUR)
-
-
 def _clean(terms: Mapping[Partition, Fraction | int]) -> dict[Partition, Fraction]:
     out = {}
     for key, coeff in terms.items():
@@ -60,27 +57,20 @@ def _clean(terms: Mapping[Partition, Fraction | int]) -> dict[Partition, Fractio
 
 @dataclass(frozen=True)
 class SymFunc:
-    """Basis-tagged sparse expansion; zero coefficients are never stored."""
+    """Sparse power-sum expansion; zero coefficients are never stored."""
 
-    basis: str
     terms: dict[Partition, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.basis not in _BASES:
-            raise ValueError(f"unknown basis {self.basis!r}, expected one of {_BASES}")
         object.__setattr__(self, "terms", _clean(self.terms))
 
     @classmethod
-    def zero(cls, basis: str = POWER) -> "SymFunc":
-        return cls(basis, {})
+    def zero(cls) -> "SymFunc":
+        return cls({})
 
     @classmethod
     def power(cls, mu: Partition, coeff: Fraction | int = 1) -> "SymFunc":
-        return cls(POWER, {check_partition(mu): Fraction(coeff)})
-
-    @classmethod
-    def schur(cls, lam: Partition, coeff: Fraction | int = 1) -> "SymFunc":
-        return cls(SCHUR, {check_partition(lam): Fraction(coeff)})
+        return cls({check_partition(mu): Fraction(coeff)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -92,36 +82,35 @@ class SymFunc:
         return sorted({sum(key) for key in self.terms})
 
     def homogeneous_component(self, n: int) -> "SymFunc":
-        return SymFunc(self.basis, {key: c for key, c in self.terms.items() if sum(key) == n})
+        return SymFunc({key: c for key, c in self.terms.items() if sum(key) == n})
 
     def __add__(self, other: "SymFunc") -> "SymFunc":
-        if self.basis != other.basis:
-            raise ValueError(f"cannot add {self.basis!r}-basis and {other.basis!r}-basis expansions directly")
         out = dict(self.terms)
         for key, coeff in other.terms.items():
             out[key] = out.get(key, Fraction(0)) + coeff
-        return SymFunc(self.basis, out)
+        return SymFunc(out)
 
     def __sub__(self, other: "SymFunc") -> "SymFunc":
         return self + (-1) * other
 
     def __rmul__(self, scalar: Fraction | int) -> "SymFunc":
         scalar = Fraction(scalar)
-        return SymFunc(self.basis, {key: scalar * coeff for key, coeff in self.terms.items()})
+        return SymFunc({key: scalar * coeff for key, coeff in self.terms.items()})
 
     def sorted_items(self) -> list[tuple[Partition, Fraction]]:
         return sorted(self.terms.items(), key=lambda item: sort_key(item[0]))
 
     def to_json_dict(self) -> dict:
         return {
-            "basis": self.basis,
+            "basis": "p",
             "terms": {format_partition(key): format_rational(coeff) for key, coeff in self.sorted_items()},
         }
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SymFunc":
-        terms = {parse_partition(key): parse_rational(text) for key, text in data["terms"].items()}
-        return cls(data["basis"], terms)
+        if data["basis"] != "p":
+            raise ValueError(f"unknown basis {data['basis']!r}, expected 'p' (power sums)")
+        return cls({parse_partition(key): parse_rational(text) for key, text in data["terms"].items()})
 
 
 def format_rational(value: Fraction) -> str:
@@ -144,24 +133,22 @@ def schur_to_power(lam: Partition, cache: mn.CharCache | None = None) -> SymFunc
         value = mn.mn_value(lam, mu, cache)
         if value:
             terms[mu] = Fraction(value, centralizer_order(mu))
-    return SymFunc(POWER, terms)
+    return SymFunc(terms)
 
 
-def to_power(f: SymFunc, cache: mn.CharCache | None = None) -> SymFunc:
-    """Convert any expansion to the power-sum basis."""
-    if f.basis == POWER:
-        return f
+def to_power(schur: Mapping[Partition, Fraction | int], cache: mn.CharCache | None = None) -> SymFunc:
+    """Power-sum expansion of a Schur expansion; inverse of power_to_schur."""
     out: dict[Partition, Fraction] = {}
-    for lam, coeff in f.terms.items():
+    for lam, coeff in schur.items():
         for mu, c in schur_to_power(lam, cache).terms.items():
             out[mu] = out.get(mu, Fraction(0)) + coeff * c
-    return SymFunc(POWER, out)
+    return SymFunc(out)
 
 
-def power_to_schur(f: SymFunc, cache: mn.CharCache | None = None) -> SymFunc:
-    """Schur expansion, degree by degree; the coefficient of lam is the Hall
-    pairing of f with the Schur function of lam."""
-    f = to_power(f, cache)
+def power_to_schur(f: SymFunc, cache: mn.CharCache | None = None) -> dict[Partition, Fraction]:
+    """Schur expansion {lam: coefficient} in sort_key order, zeros omitted,
+    built degree by degree; the coefficient of lam is the Hall pairing of f
+    with the Schur function of lam."""
     out: dict[Partition, Fraction] = {}
     for n in f.degrees():
         component = f.homogeneous_component(n)
@@ -172,35 +159,31 @@ def power_to_schur(f: SymFunc, cache: mn.CharCache | None = None) -> SymFunc:
             )
             if coeff:
                 out[lam] = coeff
-    return SymFunc(SCHUR, out)
+    return out
 
 
-def multiply(f: SymFunc, g: SymFunc, cache: mn.CharCache | None = None) -> SymFunc:
-    """Product, returned in the power-sum basis where it is union of keys."""
-    f = to_power(f, cache)
-    g = to_power(g, cache)
+def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
+    """Product; on power sums it is multiset union of keys."""
     out: dict[Partition, Fraction] = {}
     for mu, a in f.terms.items():
         for nu, b in g.terms.items():
             key = union(mu, nu)
             out[key] = out.get(key, Fraction(0)) + a * b
-    return SymFunc(POWER, out)
+    return SymFunc(out)
 
 
-def power_d(f: SymFunc, d: int, cache: mn.CharCache | None = None) -> SymFunc:
-    """d-th multiplicative power of f, in the power-sum basis."""
+def power_d(f: SymFunc, d: int) -> SymFunc:
+    """d-th multiplicative power of f."""
     if d < 1:
         raise ValueError(f"exponent must be positive, got {d}")
-    result = to_power(f, cache)
+    result = f
     for _ in range(d - 1):
-        result = multiply(result, f, cache)
+        result = multiply(result, f)
     return result
 
 
-def hall_inner(f: SymFunc, g: SymFunc, cache: mn.CharCache | None = None) -> Fraction:
+def hall_inner(f: SymFunc, g: SymFunc) -> Fraction:
     """Hall inner product; power sums are orthogonal with squared norm z_mu."""
-    f = to_power(f, cache)
-    g = to_power(g, cache)
     if len(g.terms) < len(f.terms):
         f, g = g, f
     total = Fraction(0)
@@ -211,15 +194,14 @@ def hall_inner(f: SymFunc, g: SymFunc, cache: mn.CharCache | None = None) -> Fra
     return total
 
 
-def psi_d(f: SymFunc, d: int, cache: mn.CharCache | None = None) -> SymFunc:
+def psi_d(f: SymFunc, d: int) -> SymFunc:
     """Substitute each variable by its d-th power: p_mu goes to p_(d*mu)."""
     if d < 1:
         raise ValueError(f"substitution power must be positive, got {d}")
-    f = to_power(f, cache)
-    return SymFunc(POWER, {scale(mu, d): coeff for mu, coeff in f.terms.items()})
+    return SymFunc({scale(mu, d): coeff for mu, coeff in f.terms.items()})
 
 
-def phi_d_power(f: SymFunc, d: int, cache: mn.CharCache | None = None) -> SymFunc:
+def phi_d_power(f: SymFunc, d: int) -> SymFunc:
     """Hall adjoint of psi_d, computed monomially on the power-sum basis.
 
     p_nu maps to d^len(nu) * p_(nu/d) when every part of nu is divisible by
@@ -227,14 +209,13 @@ def phi_d_power(f: SymFunc, d: int, cache: mn.CharCache | None = None) -> SymFun
     """
     if d < 1:
         raise ValueError(f"substitution power must be positive, got {d}")
-    f = to_power(f, cache)
     out: dict[Partition, Fraction] = {}
     for nu, coeff in f.terms.items():
         if any(part % d for part in nu):
             continue
         key = tuple(part // d for part in nu)
         out[key] = out.get(key, Fraction(0)) + coeff * d ** len(nu)
-    return SymFunc(POWER, out)
+    return SymFunc(out)
 
 
 def phi_d_littlewood(nu: Partition, d: int, cache: mn.CharCache | None = None) -> SymFunc:
@@ -249,9 +230,9 @@ def phi_d_littlewood(nu: Partition, d: int, cache: mn.CharCache | None = None) -
         raise ValueError(f"substitution power must be positive, got {d}")
     nu = check_partition(nu)
     if d_core(nu, d):
-        return SymFunc.zero(POWER)
+        return SymFunc.zero()
     sign = d_sign(nu, d)
     result = SymFunc.power(EMPTY, sign)
     for component in d_quotient(nu, d):
-        result = multiply(result, schur_to_power(component, cache), cache)
+        result = multiply(result, schur_to_power(component, cache))
     return result

@@ -168,6 +168,11 @@ class TestVerifyCommand:
         assert code == 2
         assert "n = 9 exceeds the limit 5" in err
 
+    def test_littlewood_d_limit_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "littlewood", "--d", "4")
+        assert code == 2
+        assert "d = 4 exceeds the limit 3" in err
+
     def test_removed_workers_flag_is_usage_error(self, capsys):
         assert run_cli(capsys, "--workers", "2", "verify", "thm1", "--n", "1")[0] == 2
 
@@ -309,6 +314,21 @@ class TestCacheCommand:
         assert code == 0 and json.loads(out)["cleared"] is True
         info = json.loads(run_cli(capsys, "--config", str(cfg), "cache", "info")[1])
         assert info["exists"] is False and info["entries"] == 0
+
+    def test_torn_cache_file(self, capsys, tmp_path):
+        cfg = tmp_path / "plethy.cfg"
+        cache_path = tmp_path / "mn.txt"
+        write_config(cfg, cache_path=str(cache_path))
+        assert run_cli(capsys, "--config", str(cfg), "table", "4")[0] == 0
+        with open(cache_path, "a", encoding="ascii") as handle:
+            handle.write("4,4|2,2")
+        code, out, err = run_cli(capsys, "--config", str(cfg), "table", "3")
+        assert code == 2
+        assert "bad cache line '4,4|2,2'" in err and "plethy cache clear" in err
+        code, out, err = run_cli(capsys, "--config", str(cfg), "cache", "clear")
+        assert code == 0 and err == "" and json.loads(out)["cleared"] is True
+        assert not cache_path.exists()
+        assert run_cli(capsys, "--config", str(cfg), "table", "3")[0] == 0
 
 
 class TestDeterminism:

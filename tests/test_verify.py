@@ -114,6 +114,9 @@ class TestLittlewoodSweep:
             verify_littlewood(9, 2)
         with pytest.raises(ValueError, match="d must be positive"):
             verify_littlewood(3, 0)
+        with pytest.raises(ValueError, match="d = 4 exceeds the limit 3"):
+            verify_littlewood(3, 4)
+        assert verify_littlewood(2, 4, max_d=4).status == "PASS"
 
 
 class TestTheorem2Div:
