@@ -64,10 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_quot.add_argument("--out", help="write to this path instead of stdout")
 
     p_verify = commands.add_parser("verify", help="run verification sweeps")
-    p_verify.add_argument(
-        "which",
-        choices=("thm1", "thm1-scaled", "littlewood", "thm2-div", "thm2-vanish", "oracle", "all"),
-    )
+    p_verify.add_argument("which", choices=(*verify_mod.sweep_table(), "all"))
     p_verify.add_argument("--n", type=int)
     p_verify.add_argument("--d", type=int)
     p_verify.add_argument("--max-size", type=int, dest="max_size")
@@ -122,8 +119,10 @@ def cmd_table(args: argparse.Namespace, config: Config, cache: CharCache) -> int
 
 def cmd_boxplus(args: argparse.Namespace, config: Config, cache: CharCache) -> int:
     lam = parse_partition(args.lam)
-    if args.d < 1:
-        raise ValueError(f"--d must be positive, got {args.d}")
+    # The limits verify thm1 applies to the same class functions.
+    verify_mod.check_limit("--d", args.d, config.thm1_d)
+    if sum(lam) > config.thm1_n:
+        raise ValueError(f"|lambda| = {sum(lam)} exceeds the limit {config.thm1_n}")
     routes = {}
     if args.route in (ROUTE_DIRECT, ROUTE_BOTH):
         routes[ROUTE_DIRECT] = boxplus_classfunction(lam, args.d, ROUTE_DIRECT, cache)
@@ -164,8 +163,8 @@ def cmd_quotient(args: argparse.Namespace, config: Config) -> int:
     from .abacus import d_core, d_quotient, d_sign
 
     nu = parse_partition(args.nu)
-    if args.d < 1:
-        raise ValueError(f"--d must be positive, got {args.d}")
+    # No d-ribbon fits in nu when d > |nu|.
+    verify_mod.check_limit("--d", args.d, max(sum(nu), 1))
     sign = d_sign(nu, args.d)
     payload = {
         "nu": format_partition(nu),
@@ -178,42 +177,20 @@ def cmd_quotient(args: argparse.Namespace, config: Config) -> int:
     return 0
 
 
-def _sweep_table(config: Config) -> dict:
-    """verify subcommand -> (sweep, flag giving its size, default size, default d, the sweep's limits)."""
-    thm1_limits = (config.thm1_n, config.thm1_d)
-    thm2_limits = (config.thm2_n, config.thm2_d)
-    oracle_n = verify_mod.DEFAULT_ORACLE_N
-    return {
-        "thm1": (verify_mod.verify_theorem1, "n", config.thm1_n, config.thm1_d, thm1_limits),
-        "thm1-scaled": (verify_mod.verify_theorem1_scaled, "n", config.thm1_n, config.thm1_d, thm1_limits),
-        "littlewood": (
-            verify_mod.verify_littlewood, "max_size", config.littlewood_size, 2, (config.littlewood_size, config.thm1_d)
-        ),
-        "thm2-div": (verify_mod.verify_theorem2_div, "n", config.thm2_n, config.thm2_d, thm2_limits),
-        "thm2-vanish": (verify_mod.verify_theorem2_vanish, "n", config.thm2_n, config.thm2_d, thm2_limits),
-        "oracle": (
-            verify_mod.verify_hall_oracle, "n", min(config.thm2_n, oracle_n), config.thm2_d, (oracle_n, config.thm2_d)
-        ),
-    }
-
-
 def cmd_verify(args: argparse.Namespace, config: Config, cache: CharCache) -> int:
-    if args.which == "all":
-        reports = verify_mod.run_verify_all(
-            config.thm1_n,
-            config.thm1_d,
-            config.littlewood_size,
-            config.thm2_n,
-            config.thm2_d,
-            cache,
-        )
+    limits = (config.thm1_n, config.thm1_d, config.littlewood_size, config.thm2_n, config.thm2_d)
+    sweep = verify_mod.sweep_table(*limits).get(args.which)
+    taken = ("d", sweep.size_name) if sweep else ()
+    for flag in ("n", "d", "max_size"):
+        if getattr(args, flag) is not None and flag not in taken:
+            raise ValueError(f"verify {args.which} does not take --{flag.replace('_', '-')}")
+    if sweep is None:
+        reports = verify_mod.run_verify_all(*limits, cache)
     else:
-        sweep, size_flag, size, d, limits = _sweep_table(config)[args.which]
-        if getattr(args, size_flag) is not None:
-            size = getattr(args, size_flag)
-        if args.d is not None:
-            d = args.d
-        reports = [sweep(size, d, *limits, cache)]
+        size = getattr(args, sweep.size_name)
+        size = sweep.sizes[-1] if size is None else size
+        d = sweep.default_d if args.d is None else args.d
+        reports = [getattr(verify_mod, sweep.function)(size, d, *sweep.limits, cache)]
     if not args.timings:
         reports = [report.without_timing() for report in reports]
     all_pass = all(report.status == "PASS" for report in reports)

@@ -8,6 +8,7 @@ intermediate calls deterministic.
 
 from __future__ import annotations
 
+import itertools
 import os
 
 from .abacus import remove_ribbons
@@ -41,8 +42,9 @@ class CharCache:
 
     def __init__(self, path: str | os.PathLike | None = None):
         self.path = os.fspath(path) if path is not None else None
+        # Insertion-ordered: entries past the first _saved are not on disk yet.
         self._values: dict[tuple[Partition, Partition], int] = {}
-        self._pending: list[tuple[Partition, Partition, int]] = []
+        self._saved = 0
         if self.path is not None and os.path.exists(self.path):
             self._load()
 
@@ -65,22 +67,22 @@ class CharCache:
                         f" for {line!r}{_CLEAR_HINT}"
                     )
                 self._values[key] = value
+        self._saved = len(self._values)
 
     def get(self, nu: Partition, rho: Partition) -> int | None:
         return self._values.get((nu, rho))
 
     def put(self, nu: Partition, rho: Partition, value: int) -> None:
-        if (nu, rho) not in self._values:
-            self._values[(nu, rho)] = value
-            self._pending.append((nu, rho, value))
+        self._values.setdefault((nu, rho), value)
 
     def flush(self) -> None:
         """Append entries recorded since the last flush in one atomic write."""
-        pending, self._pending = self._pending, []
-        if self.path is None or not pending:
+        start, self._saved = self._saved, len(self._values)
+        if self.path is None or start == self._saved:
             return
         lines = "".join(
-            f"{format_partition(nu)}|{format_partition(rho)}={value}\n" for nu, rho, value in pending
+            f"{format_partition(nu)}|{format_partition(rho)}={value}\n"
+            for (nu, rho), value in itertools.islice(self._values.items(), start, None)
         )
         directory = os.path.dirname(self.path)
         if directory:
@@ -90,7 +92,7 @@ class CharCache:
 
     def clear(self) -> None:
         self._values.clear()
-        self._pending.clear()
+        self._saved = 0
         if self.path is not None and os.path.exists(self.path):
             os.remove(self.path)
 

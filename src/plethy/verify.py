@@ -30,7 +30,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import symfunc
 from .characters import (
@@ -99,7 +99,7 @@ class VerificationReport:
         return VerificationReport(self.theorem, self.params, self.cases_checked, self.failures, 0)
 
 
-def _check_limit(name: str, value: int, limit: int) -> None:
+def check_limit(name: str, value: int, limit: int) -> None:
     if value < 1:
         raise ValueError(f"{name} must be positive, got {value}")
     if value > limit:
@@ -174,8 +174,8 @@ def verify_theorem1(
     from those multiplicities reproduces the class function, and the value
     at the identity class matches the induced-module dimension.
     """
-    _check_limit("n", n, max_n)
-    _check_limit("d", d, max_d)
+    check_limit("n", n, max_n)
+    check_limit("d", d, max_d)
     mus = partitions_of(n)
     identity = (1,) * n
 
@@ -214,8 +214,8 @@ def verify_theorem1_scaled(
     cache: CharCache | None = None,
 ) -> VerificationReport:
     """Check that the part-scaled class function is a genuine character."""
-    _check_limit("n", n, max_n)
-    _check_limit("d", d, max_d)
+    check_limit("n", n, max_n)
+    check_limit("d", d, max_d)
 
     def check(lam: Partition) -> tuple[int, list]:
         return 1, _character_failures(lam, scaled_classfunction(lam, d, cache), cache)
@@ -236,8 +236,8 @@ def verify_littlewood(
     included; partitions whose d-core is nonempty must give zero on both
     routes.  max_size is bounded by bound and d by max_d.
     """
-    _check_limit("max_size", max_size, bound)
-    _check_limit("d", d, max_d)
+    check_limit("max_size", max_size, bound)
+    check_limit("d", d, max_d)
     nus = [nu for m in range(max_size + 1) for nu in partitions_of(m)]
 
     def check(nu: Partition) -> tuple[int, list]:
@@ -271,8 +271,8 @@ def verify_theorem2_div(
     value at the d-scaled class of mu, and that value equals the Hall
     pairing of the d-th power of the Schur expansion with p_mu.
     """
-    _check_limit("n", n, max_n)
-    _check_limit("d", d, max_d)
+    check_limit("n", n, max_n)
+    check_limit("d", d, max_d)
     mus = partitions_of(d * n)
     divisor = math.factorial(d)
 
@@ -311,8 +311,8 @@ def verify_theorem2_vanish(
     cache: CharCache | None = None,
 ) -> VerificationReport:
     """Check vanishing at d^2-scaled classes when d does not divide n."""
-    _check_limit("n", n, max_n)
-    _check_limit("d", d, max_d)
+    check_limit("n", n, max_n)
+    check_limit("d", d, max_d)
     if n % d == 0:
         raise ValueError(f"hypothesis d does not divide n violated: d = {d}, n = {n}")
     nus = partitions_of(n)
@@ -334,46 +334,40 @@ def verify_theorem2_vanish(
     return _timed(THM2_VANISH, {"n": n, "d": d}, check, partitions_of(n))
 
 
-def _submultisets(parts: tuple[int, ...], total: int) -> list[tuple[int, ...]]:
-    """Distinct submultisets of the given parts summing to total, each as a
-    weakly decreasing tuple, together with the remaining parts."""
-    distinct = sorted(set(parts), reverse=True)
-    counts = {p: parts.count(p) for p in distinct}
-    results = []
-
-    def descend(index: int, remaining: int, chosen: list[int]):
-        if remaining == 0:
-            taken = {p: chosen.count(p) for p in set(chosen)}
-            rest = []
-            for p in distinct:
-                rest.extend([p] * (counts[p] - taken.get(p, 0)))
-            results.append((tuple(chosen), tuple(rest)))
-            return
-        if index == len(distinct):
-            return
-        part = distinct[index]
-        limit = min(counts[part], remaining // part)
-        for take in range(limit, -1, -1):
-            descend(index + 1, remaining - take * part, chosen + [part] * take)
-
-    descend(0, total, [])
-    return results
-
-
 def _ordered_tuples(mu: Partition, n: int, d: int) -> list[tuple[Partition, ...]]:
-    """All ordered d-tuples of partitions of n whose multiset union is mu."""
+    """All ordered d-tuples of partitions of n whose multiset union is mu, in
+    descending lexicographic order."""
+    if d == 0:
+        return [] if mu else [()]
     tuples = []
-
-    def descend(remaining: tuple[int, ...], slots: int, chosen: list[Partition]):
-        if slots == 0:
-            if not remaining:
-                tuples.append(tuple(chosen))
-            return
-        for piece, rest in _submultisets(remaining, n):
-            descend(rest, slots - 1, chosen + [piece])
-
-    descend(mu, d, [])
+    for piece in partitions_of(n):
+        rest = list(mu)
+        try:
+            for part in piece:
+                rest.remove(part)
+        except ValueError:
+            continue
+        tuples.extend((piece,) + tail for tail in _ordered_tuples(tuple(rest), n, d - 1))
     return tuples
+
+
+def _oracle_input(lam: Partition, mu: Partition, d: int) -> tuple[Partition, Partition, int]:
+    """Checked lam and mu, and n = |lam|, for a tuple summation at the d-scaled class of mu."""
+    lam = check_partition(lam)
+    mu = check_partition(mu)
+    n = sum(lam)
+    if sum(mu) != d * n:
+        raise ValueError(f"size mismatch: |mu| = {sum(mu)}, expected d*n = {d * n}")
+    return lam, mu, n
+
+
+def _tuple_term(
+    lam: Partition, tup: tuple[Partition, ...], z_mu: int, cache: CharCache | None
+) -> tuple[Fraction, int]:
+    """The centralizer ratio z_mu / prod z_piece and the product of the small
+    character values of lam over the pieces of tup."""
+    ratio = Fraction(z_mu, math.prod(centralizer_order(piece) for piece in tup))
+    return ratio, math.prod(mn_value(lam, piece, cache) for piece in tup)
 
 
 def hall_summation_oracle(lam: Partition, mu: Partition, d: int, cache: CharCache | None = None) -> Fraction:
@@ -384,21 +378,11 @@ def hall_summation_oracle(lam: Partition, mu: Partition, d: int, cache: CharCach
     mu: it needs only characters of the small symmetric group.  Empty sum
     (zero) when mu has a part larger than n.
     """
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    n = sum(lam)
-    if sum(mu) != d * n:
-        raise ValueError(f"size mismatch: |mu| = {sum(mu)}, expected d*n = {d * n}")
-    if any(part > n for part in mu):
-        return Fraction(0)
+    lam, mu, n = _oracle_input(lam, mu, d)
     z_mu = centralizer_order(mu)
     total = Fraction(0)
     for tup in _ordered_tuples(mu, n, d):
-        ratio = Fraction(z_mu)
-        value = 1
-        for piece in tup:
-            ratio /= centralizer_order(piece)
-            value *= mn_value(lam, piece, cache)
+        ratio, value = _tuple_term(lam, tup, z_mu, cache)
         total += ratio * value
     return total
 
@@ -415,11 +399,7 @@ def orbit_divisibility_check(
     contribution is divisible by d!.
     """
     start = time.perf_counter()
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    n = sum(lam)
-    if sum(mu) != d * n:
-        raise ValueError(f"size mismatch: |mu| = {sum(mu)}, expected d*n = {d * n}")
+    lam, mu, n = _oracle_input(lam, mu, d)
     params = {"lambda": format_partition(lam), "mu": format_partition(mu), "d": d}
     z_mu = centralizer_order(mu)
     orbits: dict[tuple[Partition, ...], list[tuple[Partition, ...]]] = {}
@@ -440,11 +420,7 @@ def orbit_divisibility_check(
                 "size": len(members),
                 "expected": expected_size,
             })
-        ratio = Fraction(z_mu)
-        value = 1
-        for piece in rep:
-            ratio /= centralizer_order(piece)
-            value *= mn_value(lam, piece, cache)
+        ratio, value = _tuple_term(lam, rep, z_mu, cache)
         if ratio.denominator != 1 or ratio % sigma_factorial != 0:
             failures.append({
                 "orbit": rep_text,
@@ -472,8 +448,8 @@ def verify_hall_oracle(
 ) -> VerificationReport:
     """Check the tuple-summation oracle against ribbon stripping, plus the
     per-orbit divisibility, over every lambda of n and mu of d*n."""
-    _check_limit("n", n, max_n)
-    _check_limit("d", d, max_d)
+    check_limit("n", n, max_n)
+    check_limit("d", d, max_d)
     mus = partitions_of(d * n)
 
     def check(lam: Partition) -> tuple[int, list]:
@@ -500,6 +476,47 @@ def verify_hall_oracle(
     return _timed(HALL_ORACLE, {"n": n, "d": d}, check, partitions_of(n))
 
 
+class Sweep(NamedTuple):
+    """One sweep: the name of the function of this module that runs it (looked
+    up at call time, so a patched attribute is what runs), the name of its
+    size argument, the sizes and d values of its `run_verify_all` grid, the
+    (size limit, d limit) passed to it, and the d of a single run when none
+    is given.  A single run's default size is the largest of the grid."""
+
+    function: str
+    size_name: str
+    sizes: Sequence[int]
+    ds: Sequence[int]
+    limits: tuple[int, int]
+    default_d: int
+
+
+def sweep_table(
+    thm1_n: int = DEFAULT_THM1_N,
+    thm1_d: int = DEFAULT_THM1_D,
+    littlewood_size: int = DEFAULT_LITTLEWOOD_SIZE,
+    thm2_n: int = DEFAULT_THM2_N,
+    thm2_d: int = DEFAULT_THM2_D,
+) -> dict[str, Sweep]:
+    """Every sweep by its CLI name, in the order run_verify_all runs them.
+
+    The d-grids start at 2 (d = 1 cases are identities).
+    """
+    thm1_ds = range(2, thm1_d + 1)
+    thm2_ds = range(2, thm2_d + 1)
+    thm1 = (range(1, thm1_n + 1), thm1_ds, (thm1_n, thm1_d), thm1_d)
+    thm2 = (range(1, thm2_n + 1), thm2_ds, (thm2_n, thm2_d), thm2_d)
+    oracle_sizes = range(1, min(thm2_n, DEFAULT_ORACLE_N) + 1)
+    return {
+        "thm1": Sweep("verify_theorem1", "n", *thm1),
+        "thm1-scaled": Sweep("verify_theorem1_scaled", "n", *thm1),
+        "littlewood": Sweep("verify_littlewood", "max_size", (littlewood_size,), thm1_ds, (littlewood_size, thm1_d), 2),
+        "thm2-div": Sweep("verify_theorem2_div", "n", *thm2),
+        "thm2-vanish": Sweep("verify_theorem2_vanish", "n", *thm2),
+        "oracle": Sweep("verify_hall_oracle", "n", oracle_sizes, thm2_ds, (DEFAULT_ORACLE_N, thm2_d), thm2_d),
+    }
+
+
 def run_verify_all(
     thm1_n: int = DEFAULT_THM1_N,
     thm1_d: int = DEFAULT_THM1_D,
@@ -508,28 +525,14 @@ def run_verify_all(
     thm2_d: int = DEFAULT_THM2_D,
     cache: CharCache | None = None,
 ) -> list[VerificationReport]:
-    """Run every sweep over the configured grids, in a fixed order.
+    """Run every sweep over its grid, in the order of sweep_table.
 
-    The d-grids start at 2 (d = 1 cases are identities).  The vanishing
-    sweep keeps only the pairs with d not dividing n.
+    The vanishing sweep keeps only the pairs with d not dividing n.
     """
     reports = []
-    for n in range(1, thm1_n + 1):
-        for d in range(2, thm1_d + 1):
-            reports.append(verify_theorem1(n, d, thm1_n, thm1_d, cache))
-    for n in range(1, thm1_n + 1):
-        for d in range(2, thm1_d + 1):
-            reports.append(verify_theorem1_scaled(n, d, thm1_n, thm1_d, cache))
-    for d in range(2, thm1_d + 1):
-        reports.append(verify_littlewood(littlewood_size, d, littlewood_size, thm1_d, cache))
-    for n in range(1, thm2_n + 1):
-        for d in range(2, thm2_d + 1):
-            reports.append(verify_theorem2_div(n, d, thm2_n, thm2_d, cache))
-    for n in range(1, thm2_n + 1):
-        for d in range(2, thm2_d + 1):
-            if n % d != 0:
-                reports.append(verify_theorem2_vanish(n, d, thm2_n, thm2_d, cache))
-    for n in range(1, min(thm2_n, DEFAULT_ORACLE_N) + 1):
-        for d in range(2, thm2_d + 1):
-            reports.append(verify_hall_oracle(n, d, DEFAULT_ORACLE_N, thm2_d, cache))
+    for which, sweep in sweep_table(thm1_n, thm1_d, littlewood_size, thm2_n, thm2_d).items():
+        for size in sweep.sizes:
+            for d in sweep.ds:
+                if which != "thm2-vanish" or size % d:
+                    reports.append(globals()[sweep.function](size, d, *sweep.limits, cache))
     return reports

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -93,6 +94,14 @@ class TestBoxplus:
         assert code == 2
         assert "--d must be positive" in err
 
+    def test_limits_of_verify_thm1(self, capsys):
+        code, out, err = run_cli(capsys, "boxplus", "1", "--d", "4")
+        assert code == 2 and out == ""
+        assert "--d = 4 exceeds the limit 3" in err
+        code, out, err = run_cli(capsys, "boxplus", "1,1,1,1,1,1", "--d", "2")
+        assert code == 2 and out == ""
+        assert "|lambda| = 6 exceeds the limit 5" in err
+
 
 class TestQuotient:
     def test_subdivided_column(self, capsys):
@@ -120,6 +129,14 @@ class TestQuotient:
         assert code == 0
         data = json.loads(out)
         assert data["core"] == "" and data["quotient"] == ["3,1"] and data["sign"] == 1
+
+    def test_d_past_size_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "quotient", "2,1", "--d", "4")
+        assert code == 2 and out == ""
+        assert "--d = 4 exceeds the limit 3" in err
+        code, out, err = run_cli(capsys, "quotient", "", "--d", "2")
+        assert code == 2
+        assert "--d = 2 exceeds the limit 1" in err
 
 
 class TestVerifyCommand:
@@ -172,6 +189,36 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", "littlewood", "--d", "4")
         assert code == 2
         assert "d = 4 exceeds the limit 3" in err
+
+    @pytest.mark.parametrize(
+        "which, params",
+        [
+            ("thm1", {"n": 5, "d": 3}),
+            ("thm1-scaled", {"n": 5, "d": 3}),
+            ("littlewood", {"max_size": 8, "d": 2}),
+            ("thm2-div", {"n": 4, "d": 3}),
+            ("thm2-vanish", {"n": 4, "d": 3}),
+            ("oracle", {"n": 3, "d": 3}),
+        ],
+    )
+    def test_default_params(self, capsys, which, params):
+        code, out, err = run_cli(capsys, "verify", which)
+        assert code == 0
+        assert json.loads(out)["params"] == params
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("littlewood", "--n", "3"), "--n"),
+            (("thm1", "--max-size", "3"), "--max-size"),
+            (("all", "--n", "1"), "--n"),
+            (("all", "--d", "2"), "--d"),
+        ],
+    )
+    def test_flag_the_sweep_does_not_take_is_usage_error(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert f"verify {argv[0]} does not take {flag}" in err
 
     def test_removed_workers_flag_is_usage_error(self, capsys):
         assert run_cli(capsys, "--workers", "2", "verify", "thm1", "--n", "1")[0] == 2
@@ -331,7 +378,16 @@ class TestCacheCommand:
         assert run_cli(capsys, "--config", str(cfg), "table", "3")[0] == 0
 
 
+VERIFY_ALL_SHA256 = "e619eef16c8de42c8f47d0066965e675b9350cf83cf9982de85e8e2267cedf47"
+
+
 class TestDeterminism:
+    def test_verify_all_default_output_is_pinned(self, capsys):
+        for _ in ("cold", "warm"):
+            code, out, err = run_cli(capsys, "verify", "all")
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256
+
     def test_verify_all_is_byte_identical_across_runs(self, capsys, tmp_path):
         cfg = tmp_path / "plethy.cfg"
         cache_path = tmp_path / "mn.txt"

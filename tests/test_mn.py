@@ -147,6 +147,16 @@ class TestCharCache:
         assert path.read_text().startswith(first)
         assert len(path.read_text()) > len(first)
 
+    def test_flush_after_load_appends_only_new_entries(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        path.write_text("4,4|2,2,2,2=6\n4,4|2,2,2,2=6\n")
+        cache = CharCache(path)
+        cache.put((4, 4), (2, 2, 2, 2), 6)
+        cache.put((2,), (1, 1), 1)
+        cache.put((1, 1), (1, 1), 1)
+        cache.flush()
+        assert path.read_text() == "4,4|2,2,2,2=6\n4,4|2,2,2,2=6\n2|1,1=1\n1,1|1,1=1\n"
+
     def test_clear(self, tmp_path):
         path = tmp_path / "cache.txt"
         cache = CharCache(path)

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from plethy import verify as verify_mod
 from plethy import (
+    CharCache,
     VerificationReport,
     boxplus,
     f_dim,
@@ -21,6 +23,7 @@ from plethy import (
     verify_theorem2_div,
     verify_theorem2_vanish,
 )
+from plethy.verify import _ordered_tuples
 
 
 class TestReportType:
@@ -186,6 +189,21 @@ class TestHallSummation:
                         assert hall_summation_oracle(lam, mu, d) == mn_value(big, scale(mu, d))
 
 
+def splits_tuples(mu, n, d):
+    """Ordered d-tuples of partitions of n with multiset union mu, built from oracles.splits."""
+    if d == 0:
+        return [] if mu else [()]
+    return [(piece,) + tail for piece, rest in oracles.splits(mu, n) for tail in splits_tuples(rest, n, d - 1)]
+
+
+class TestOrderedTuples:
+    def test_matches_splits_enumeration(self):
+        for n in range(5):
+            for d in range(1, 4):
+                for mu in partitions_of(d * n):
+                    assert _ordered_tuples(mu, n, d) == splits_tuples(mu, n, d), (mu, n, d)
+
+
 class TestOrbitDivisibility:
     def test_five_fold_orbit(self):
         # With lambda of 3 and mu = (3, 3, 2, 2, 1, 1, 1, 1, 1), the only
@@ -238,7 +256,34 @@ class TestHallOracleSweep:
             verify_hall_oracle(4, 2)
 
 
+SWEEP_NAMES = (
+    "verify_theorem1",
+    "verify_theorem1_scaled",
+    "verify_littlewood",
+    "verify_theorem2_div",
+    "verify_theorem2_vanish",
+    "verify_hall_oracle",
+)
+
+
 class TestRunVerifyAll:
+    def test_sweeps_are_looked_up_at_call_time(self, monkeypatch):
+        calls = []
+        for name in SWEEP_NAMES:
+            def record(*args, _name=name, _sweep=getattr(verify_mod, name), **kwargs):
+                report = _sweep(*args, **kwargs)
+                calls.append((_name, args, kwargs, report))
+                return report
+
+            monkeypatch.setattr(verify_mod, name, record)
+        cache = CharCache()
+        reports = run_verify_all(thm1_n=2, thm1_d=2, littlewood_size=3, thm2_n=2, thm2_d=2, cache=cache)
+        assert len(calls) == len(reports) == 10
+        assert all(call[3] is report for call, report in zip(calls, reports))
+        assert {call[0] for call in calls} == set(SWEEP_NAMES)
+        # Positional (size, d, size limit, d limit, cache), as recorded calls are replayed.
+        assert all(len(args) == 5 and args[4] is cache and not kwargs for _, args, kwargs, _ in calls)
+
     def test_fixed_order_and_grids(self):
         reports = run_verify_all(thm1_n=2, thm1_d=2, littlewood_size=3, thm2_n=2, thm2_d=2)
         assert [r.theorem for r in reports] == [
