@@ -22,10 +22,10 @@ Conventions fixed here, since the literature varies:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import functools
 from dataclasses import dataclass
 
-from .partitions import EMPTY, Partition, PartitionError, check_partition
+from .partitions import Partition, PartitionError, check_partition
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class BetaSet:
 
     def to_partition(self) -> Partition:
         """Decode: subtract the staircase t-1-i and drop zero parts."""
-        return _decode(self.betas)
+        return decode_mask(sum(1 << b for b in self.betas))
 
 
 def beta_set(lam: Partition, t: int) -> BetaSet:
@@ -52,9 +52,23 @@ def beta_set(lam: Partition, t: int) -> BetaSet:
     return BetaSet(tuple(padded[i] + t - 1 - i for i in range(t)))
 
 
-def _decode(betas_desc: Sequence[int]) -> Partition:
-    t = len(betas_desc)
-    return tuple(b - (t - 1 - i) for i, b in enumerate(betas_desc) if b - (t - 1 - i) > 0)
+# Bounded memo: callers encode the same few shapes again and again.
+@functools.lru_cache(maxsize=4096)
+def encode_mask(lam: Partition) -> int:
+    """The bead mask of lam with one bead per row: bit 0 is empty, so each
+    partition has exactly one mask (its canonical mask); () has 0."""
+    t = len(lam)
+    return sum(1 << (part + t - 1 - i) for i, part in enumerate(lam))
+
+
+def decode_mask(mask: int) -> Partition:
+    """The partition of any bead mask; beads packed at the bottom are zero rows."""
+    parts: list[int] = []
+    while mask:
+        low = mask & -mask
+        parts.append(low.bit_length() - 1 - len(parts))
+        mask ^= low
+    return tuple(part for part in reversed(parts) if part)
 
 
 @dataclass(frozen=True)
@@ -64,6 +78,27 @@ class RibbonRemoval:
     smaller: Partition
     height: int
     sign: int
+
+
+def mask_ribbons(mask: int, length: int) -> list[tuple[int, int]]:
+    """(smaller mask, height) of every ribbon of the given length on a canonical mask.
+
+    A removal moves the bead at b to the empty position b - length; its
+    height is the number of beads in between.  Ordered by b, ascending.
+    A bead moved to position 0 packs the beads below the shape, which are
+    stripped to keep the smaller mask canonical.
+    """
+    moves = []
+    targets = (mask & ~(mask << length)) >> length
+    while targets:
+        low = targets & -targets
+        bead = low << length
+        smaller = mask ^ bead ^ low
+        if low == 1:
+            smaller >>= (smaller ^ (smaller + 1)).bit_length() - 1
+        moves.append((smaller, (mask & (bead - low)).bit_count()))
+        targets ^= low
+    return moves
 
 
 def remove_ribbons(lam: Partition, length: int) -> list[RibbonRemoval]:
@@ -76,33 +111,20 @@ def remove_ribbons(lam: Partition, length: int) -> list[RibbonRemoval]:
     lam = check_partition(lam)
     if length < 1:
         raise PartitionError(f"ribbon length must be positive, got {length}")
-    t = len(lam)
-    betas = [lam[i] + t - 1 - i for i in range(t)]
-    occupied = set(betas)
-    removals = []
-    for b in sorted(occupied):
-        target = b - length
-        if target < 0 or target in occupied:
-            continue
-        height = sum(1 for c in betas if target < c < b)
-        moved = sorted((occupied - {b}) | {target}, reverse=True)
-        removals.append(RibbonRemoval(_decode(moved), height, -1 if height % 2 else 1))
-    return removals
+    moves = mask_ribbons(encode_mask(lam), length)
+    return [RibbonRemoval(decode_mask(smaller), height, -1 if height % 2 else 1) for smaller, height in moves]
 
 
-def _runner_counts(nu: Partition, d: int) -> tuple[tuple[int, ...], list[list[int]]]:
-    """Beta numbers split by residue mod d, using d * ceil(len/d) beads.
-
-    Returns (betas, runners) where runners[r] lists the b // d values of the
-    beads congruent to r, sorted decreasing.
-    """
-    t = -(-len(nu) // d) * d
-    betas = beta_set(nu, t).betas
+def _runners(nu: Partition, d: int) -> tuple[tuple[int, ...], list[list[int]]]:
+    """The beta numbers of nu on d * ceil(len/d) beads, decreasing, and per
+    residue r the b // d values of the beads congruent to r (runner r)."""
+    if d < 1:
+        raise PartitionError(f"ribbon length must be positive, got {d}")
+    nu = check_partition(nu)
+    betas = beta_set(nu, -(-len(nu) // d) * d).betas
     runners: list[list[int]] = [[] for _ in range(d)]
     for b in betas:
         runners[b % d].append(b // d)
-    for runner in runners:
-        runner.sort(reverse=True)
     return betas, runners
 
 
@@ -112,14 +134,8 @@ def d_core(nu: Partition, d: int) -> Partition:
     Computed by packing each runner's beads into its lowest positions, which
     is what repeated bead moves converge to regardless of order.
     """
-    if d < 1:
-        raise PartitionError(f"ribbon length must be positive, got {d}")
-    _, runners = _runner_counts(check_partition(nu), d)
-    packed = sorted(
-        (q * d + r for r, runner in enumerate(runners) for q in range(len(runner))),
-        reverse=True,
-    )
-    return _decode(packed)
+    _, runners = _runners(nu, d)
+    return decode_mask(sum(1 << (q * d + r) for r, runner in enumerate(runners) for q in range(len(runner))))
 
 
 def d_quotient(nu: Partition, d: int) -> tuple[Partition, ...]:
@@ -127,10 +143,8 @@ def d_quotient(nu: Partition, d: int) -> tuple[Partition, ...]:
 
     Sizes satisfy |nu| = |d_core(nu, d)| + d * sum of component sizes.
     """
-    if d < 1:
-        raise PartitionError(f"ribbon length must be positive, got {d}")
-    _, runners = _runner_counts(check_partition(nu), d)
-    return tuple(_decode(runner) for runner in runners)
+    _, runners = _runners(nu, d)
+    return tuple(decode_mask(sum(1 << q for q in runner)) for runner in runners)
 
 
 def d_sign(nu: Partition, d: int) -> int | None:
@@ -140,25 +154,14 @@ def d_sign(nu: Partition, d: int) -> int | None:
     computed as the sign of the permutation sorting the beta numbers into the
     packed-runner configuration, which is stripping-order independent.
     """
-    if d < 1:
-        raise PartitionError(f"ribbon length must be positive, got {d}")
-    nu = check_partition(nu)
     if d_core(nu, d):
         return None
-    betas, runners = _runner_counts(nu, d)
-    # Final resting position of each bead: the j-th highest bead of runner r
-    # (0-based) ends at (len(runner) - 1 - j) * d + r.
-    seen: dict[int, int] = {}
+    betas, runners = _runners(nu, d)
+    # The j-th highest bead of runner r (1-based) comes to rest at (len(runner) - j) * d + r.
+    seen = [0] * d
     finals = []
-    for b in sorted(betas, reverse=True):
-        r = b % d
-        j = seen.get(r, 0)
-        seen[r] = j + 1
-        finals.append((len(runners[r]) - 1 - j) * d + r)
-    inversions = sum(
-        1
-        for i in range(len(finals))
-        for j in range(i + 1, len(finals))
-        if finals[i] < finals[j]
-    )
+    for r in (b % d for b in betas):
+        seen[r] += 1
+        finals.append((len(runners[r]) - seen[r]) * d + r)
+    inversions = sum(a < b for i, a in enumerate(finals) for b in finals[i + 1 :])
     return -1 if inversions % 2 else 1

@@ -123,11 +123,8 @@ def cmd_boxplus(args: argparse.Namespace, config: Config, cache: CharCache) -> i
     verify_mod.check_limit("--d", args.d, config.thm1_d)
     if sum(lam) > config.thm1_n:
         raise ValueError(f"|lambda| = {sum(lam)} exceeds the limit {config.thm1_n}")
-    routes = {}
-    if args.route in (ROUTE_DIRECT, ROUTE_BOTH):
-        routes[ROUTE_DIRECT] = boxplus_classfunction(lam, args.d, ROUTE_DIRECT, cache)
-    if args.route in (ROUTE_PLETHYSTIC, ROUTE_BOTH):
-        routes[ROUTE_PLETHYSTIC] = boxplus_classfunction(lam, args.d, ROUTE_PLETHYSTIC, cache)
+    names = (ROUTE_DIRECT, ROUTE_PLETHYSTIC) if args.route == ROUTE_BOTH else (args.route,)
+    routes = {name: boxplus_classfunction(lam, args.d, name, cache) for name in names}
     primary = routes.get(ROUTE_DIRECT) or routes[ROUTE_PLETHYSTIC]
     mults = decompose(primary, cache)
     decomposition = {format_partition(nu): format_rational(m) for nu, m in mults.items()}

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import os
 
-from .abacus import remove_ribbons
+from .abacus import decode_mask, encode_mask, mask_ribbons as remove_ribbons  # benchmarks/tracing.py wraps this name
 from .partitions import Partition, check_partition, format_partition, parse_partition, partitions_of
 
 DEFAULT_TABLE_LIMIT = 18
@@ -37,13 +37,14 @@ class CharCache:
     With a path, the file is loaded wholesale on construction and new
     entries are appended in a single write per flush().  The format is one
     entry per line, ``<nu parts>|<rho parts>=<decimal integer>``, e.g.
-    ``4,4|2,2,2,2=6``.  Duplicate lines must agree or loading fails.
+    ``4,4|2,2,2,2=6``.  Duplicate lines must agree or loading fails.  Inside,
+    shapes are bead masks (abacus.encode_mask); get/put take partitions.
     """
 
     def __init__(self, path: str | os.PathLike | None = None):
         self.path = os.fspath(path) if path is not None else None
         # Insertion-ordered: entries past the first _saved are not on disk yet.
-        self._values: dict[tuple[Partition, Partition], int] = {}
+        self._values: dict[tuple[int, Partition], int] = {}
         self._saved = 0
         if self.path is not None and os.path.exists(self.path):
             self._load()
@@ -57,7 +58,7 @@ class CharCache:
                 try:
                     key_part, value_part = line.split("=")
                     nu_text, rho_text = key_part.split("|")
-                    key = (parse_partition(nu_text), parse_partition(rho_text))
+                    key = (encode_mask(parse_partition(nu_text)), parse_partition(rho_text))
                     value = int(value_part)
                 except ValueError as exc:
                     raise CacheFormatError(f"{self.path}:{lineno}: bad cache line {line!r}{_CLEAR_HINT}") from exc
@@ -70,10 +71,10 @@ class CharCache:
         self._saved = len(self._values)
 
     def get(self, nu: Partition, rho: Partition) -> int | None:
-        return self._values.get((nu, rho))
+        return self._values.get((encode_mask(nu), rho))
 
     def put(self, nu: Partition, rho: Partition, value: int) -> None:
-        self._values.setdefault((nu, rho), value)
+        self._values.setdefault((encode_mask(nu), rho), value)
 
     def flush(self) -> None:
         """Append entries recorded since the last flush in one atomic write."""
@@ -81,8 +82,8 @@ class CharCache:
         if self.path is None or start == self._saved:
             return
         lines = "".join(
-            f"{format_partition(nu)}|{format_partition(rho)}={value}\n"
-            for (nu, rho), value in itertools.islice(self._values.items(), start, None)
+            f"{format_partition(decode_mask(mask))}|{format_partition(rho)}={value}\n"
+            for (mask, rho), value in itertools.islice(self._values.items(), start, None)
         )
         directory = os.path.dirname(self.path)
         if directory:
@@ -122,20 +123,21 @@ def mn_value(nu: Partition, rho: Partition, cache: CharCache | None = None) -> i
             f"degree mismatch: |{format_partition(nu) or '()'}| = {sum(nu)}"
             f" but |{format_partition(rho) or '()'}| = {sum(rho)}"
         )
-    return _mn(nu, rho, cache if cache is not None else _default_cache)
+    return _mn(encode_mask(nu), rho, (cache if cache is not None else _default_cache)._values)
 
 
-def _mn(nu: Partition, rho: Partition, cache: CharCache) -> int:
-    if not nu:
+def _mn(mask: int, rho: Partition, values: dict[tuple[int, Partition], int]) -> int:
+    if not mask:
         return 1
-    known = cache.get(nu, rho)
+    known = values.get((mask, rho))
     if known is not None:
         return known
     rest = rho[1:]
     value = 0
-    for removal in remove_ribbons(nu, rho[0]):
-        value += removal.sign * _mn(removal.smaller, rest, cache)
-    cache.put(nu, rho, value)
+    for smaller, height in remove_ribbons(mask, rho[0]):
+        term = _mn(smaller, rest, values)
+        value += -term if height & 1 else term
+    values[mask, rho] = value
     return value
 
 

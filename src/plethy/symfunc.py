@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import mn
-from .abacus import d_core, d_quotient, d_sign
+from .abacus import d_quotient, d_sign
 from .partitions import (
     EMPTY,
     Partition,
@@ -226,12 +226,9 @@ def phi_d_littlewood(nu: Partition, d: int, cache: mn.CharCache | None = None) -
     separate code path from phi_d_power on purpose: the exact agreement of
     the two is one of the headline verification sweeps.
     """
-    if d < 1:
-        raise ValueError(f"substitution power must be positive, got {d}")
-    nu = check_partition(nu)
-    if d_core(nu, d):
-        return SymFunc.zero()
     sign = d_sign(nu, d)
+    if sign is None:
+        return SymFunc.zero()
     result = SymFunc.power(EMPTY, sign)
     for component in d_quotient(nu, d):
         result = multiply(result, schur_to_power(component, cache))

@@ -506,11 +506,12 @@ def sweep_table(
     thm2_ds = range(2, thm2_d + 1)
     thm1 = (range(1, thm1_n + 1), thm1_ds, (thm1_n, thm1_d), thm1_d)
     thm2 = (range(1, thm2_n + 1), thm2_ds, (thm2_n, thm2_d), thm2_d)
+    littlewood = ((littlewood_size,), thm1_ds, (littlewood_size, thm1_d), min(2, thm1_d))
     oracle_sizes = range(1, min(thm2_n, DEFAULT_ORACLE_N) + 1)
     return {
         "thm1": Sweep("verify_theorem1", "n", *thm1),
         "thm1-scaled": Sweep("verify_theorem1_scaled", "n", *thm1),
-        "littlewood": Sweep("verify_littlewood", "max_size", (littlewood_size,), thm1_ds, (littlewood_size, thm1_d), 2),
+        "littlewood": Sweep("verify_littlewood", "max_size", *littlewood),
         "thm2-div": Sweep("verify_theorem2_div", "n", *thm2),
         "thm2-vanish": Sweep("verify_theorem2_vanish", "n", *thm2),
         "oracle": Sweep("verify_hall_oracle", "n", oracle_sizes, thm2_ds, (DEFAULT_ORACLE_N, thm2_d), thm2_d),

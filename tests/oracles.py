@@ -12,6 +12,9 @@ genuine cross-check rather than a tautology:
 * embedding_value: the ordered-tuple summation for the grid-subdivided
   character at subdivided classes, over the tabloid table;
 * syt_count: standard Young tableaux counted one cell at a time;
+* partition_ribbons, partition_mn: the ribbon-stripping kernel on partition
+  tuples and sorted beta lists, as the package had it before its bead-mask
+  kernel, kept to test that kernel differentially;
 * count_partitions: partition counts by capped-part dynamic programming.
 """
 
@@ -187,3 +190,37 @@ def syt_count(lam: tuple[int, ...]) -> int:
         return total
 
     return place((0,) * len(lam))
+
+
+def _decode_betas(betas_desc: list[int]) -> tuple[int, ...]:
+    t = len(betas_desc)
+    return tuple(b - (t - 1 - i) for i, b in enumerate(betas_desc) if b - (t - 1 - i) > 0)
+
+
+def partition_ribbons(lam: tuple[int, ...], length: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """(smaller, height, sign) of every ribbon of the given length, ascending
+    by the moved bead, on t = len(lam) beta numbers."""
+    t = len(lam)
+    betas = [lam[i] + t - 1 - i for i in range(t)]
+    occupied = set(betas)
+    removals = []
+    for b in sorted(occupied):
+        target = b - length
+        if target < 0 or target in occupied:
+            continue
+        height = sum(1 for c in betas if target < c < b)
+        moved = sorted((occupied - {b}) | {target}, reverse=True)
+        removals.append((_decode_betas(moved), height, -1 if height % 2 else 1))
+    return removals
+
+
+def partition_mn(nu: tuple[int, ...], rho: tuple[int, ...], memo: dict | None = None) -> int:
+    """Murnaghan-Nakayama rule, stripping a ribbon of length rho[0] first."""
+    if not nu:
+        return 1
+    memo = {} if memo is None else memo
+    key = (nu, rho)
+    if key not in memo:
+        removals = partition_ribbons(nu, rho[0])
+        memo[key] = sum(sign * partition_mn(smaller, rho[1:], memo) for smaller, _, sign in removals)
+    return memo[key]

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from plethy import (
     PartitionError,
     beta_set,
@@ -13,6 +14,7 @@ from plethy import (
     partitions_of,
     remove_ribbons,
 )
+from plethy.abacus import decode_mask, encode_mask, mask_ribbons
 
 partitions = st.integers(min_value=0, max_value=10).flatmap(
     lambda n: st.sampled_from(partitions_of(n))
@@ -113,6 +115,39 @@ class TestRemoveRibbons:
                 if is_valid_ribbon(lam, mu, length) is not None
             }
             assert found == candidates
+
+    def test_matches_partition_kernel_exhaustively(self):
+        for n in range(11):
+            for lam in partitions_of(n):
+                for length in range(1, n + 1):
+                    out = [(r.smaller, r.height, r.sign) for r in remove_ribbons(lam, length)]
+                    assert out == oracles.partition_ribbons(lam, length), (lam, length)
+
+
+class TestBeadMask:
+    def test_examples(self):
+        assert encode_mask(()) == 0
+        assert encode_mask((2, 1)) == 0b1010
+        assert decode_mask(0b1010) == (2, 1)
+        assert decode_mask(0b1010 << 3 | 0b111) == (2, 1)
+
+    def test_round_trip_and_distinct(self):
+        masks = set()
+        for n in range(13):
+            for lam in partitions_of(n):
+                mask = encode_mask(lam)
+                assert not mask & 1, lam
+                assert decode_mask(mask) == lam
+                masks.add(mask)
+        assert len(masks) == sum(len(partitions_of(n)) for n in range(13))
+
+    def test_removals_stay_canonical(self):
+        for n in range(13):
+            for lam in partitions_of(n):
+                for length in range(1, n + 1):
+                    for smaller, _ in mask_ribbons(encode_mask(lam), length):
+                        assert not smaller & 1, (lam, length)
+                        assert encode_mask(decode_mask(smaller)) == smaller
 
 
 class TestCoreQuotientSign:

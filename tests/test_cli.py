@@ -248,6 +248,14 @@ class TestVerifyCommand:
         data = json.loads(target.read_text(encoding="utf-8"))
         assert data["theorem"] == "Littlewood" and data["status"] == "PASS"
 
+    def test_littlewood_default_d_follows_thm1_d(self, capsys, tmp_path):
+        cfg = tmp_path / "plethy.cfg"
+        write_config(cfg, cache_path=str(tmp_path / "mn.txt"), thm1_d=1)
+        code, out, err = run_cli(capsys, "--config", str(cfg), "verify", "littlewood")
+        assert code == 0, err
+        data = json.loads(out)
+        assert data["params"]["d"] == 1 and data["status"] == "PASS"
+
 
 def write_config(path, **overrides):
     config = Config(**overrides)
@@ -379,6 +387,10 @@ class TestCacheCommand:
 
 
 VERIFY_ALL_SHA256 = "e619eef16c8de42c8f47d0066965e675b9350cf83cf9982de85e8e2267cedf47"
+# The cache file that `verify all` then `table 8` write to a fresh path:
+# entries in the order they were first computed, one line each.
+VERIFY_ALL_TABLE_8_CACHE_SHA256 = "fcf647c6d0ca8c9ebc102ec7128c4fbf564434e5bf26b8249a9e3dcf04d2202d"
+VERIFY_ALL_TABLE_8_CACHE_ENTRIES = 6024
 
 
 class TestDeterminism:
@@ -424,3 +436,12 @@ class TestDeterminism:
         assert first > 0
         run_cli(capsys, "--config", str(cfg), "boxplus", "2", "--d", "2")
         assert len(CharCache(str(cache_path))) == first
+
+    def test_cache_file_bytes_are_pinned(self, capsys, tmp_path):
+        cfg = tmp_path / "plethy.cfg"
+        cache_path = tmp_path / "mn.txt"
+        write_config(cfg, cache_path=str(cache_path))
+        assert run_cli(capsys, "--config", str(cfg), "verify", "all")[0] == 0
+        assert run_cli(capsys, "--config", str(cfg), "table", "8")[0] == 0
+        assert hashlib.sha256(cache_path.read_bytes()).hexdigest() == VERIFY_ALL_TABLE_8_CACHE_SHA256
+        assert len(CharCache(str(cache_path))) == VERIFY_ALL_TABLE_8_CACHE_ENTRIES

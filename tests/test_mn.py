@@ -1,6 +1,7 @@
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from plethy import (
@@ -12,6 +13,10 @@ from plethy import (
     mn_value,
     partitions_of,
 )
+
+
+def same_size_pair(shapes):
+    return st.tuples(st.sampled_from(shapes), st.sampled_from(shapes))
 
 
 class TestMnValue:
@@ -39,6 +44,12 @@ class TestMnValue:
             for lam in partitions_of(n):
                 for mu in partitions_of(n):
                     assert mn_value(lam, mu) == table[lam][mu], (lam, mu)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=20).map(oracles.partitions_desc).flatmap(same_size_pair))
+    def test_matches_partition_kernel(self, pair):
+        lam, mu = pair
+        assert mn_value(lam, mu, CharCache()) == oracles.partition_mn(lam, mu)
 
     def test_dimensions_match_tableau_counts(self):
         for n in range(1, 6):
