@@ -3,15 +3,7 @@ embedding: partitions, abacus combinatorics, symmetric functions expanded in
 power sums, ribbon-stripping character values with a persistent cache, and
 theorem-verification sweeps."""
 
-from .abacus import (
-    BetaSet,
-    RibbonRemoval,
-    beta_set,
-    d_core,
-    d_quotient,
-    d_sign,
-    remove_ribbons,
-)
+from .abacus import d_core, d_quotient, d_sign
 from .characters import (
     ClassFunction,
     ROUTE_DIRECT,

@@ -1,18 +1,21 @@
-"""Beta-set (abacus) combinatorics: ribbon removal, cores, quotients, signs.
+"""Bead-mask (abacus) combinatorics: ribbon removal, cores, quotients, signs.
 
-A partition with at most t parts is encoded as the strictly decreasing
-sequence of beta numbers lam[i] + t - 1 - i (rows padded with zero parts up
-to length t).  Removing a ribbon (border strip) of length k is moving one
-bead from position b down to the empty position b - k; the ribbon's height
-is the number of beads strictly between the two positions.
+A partition is encoded as a bead mask, an int with bit b set when b is a
+beta number.  The canonical mask has one bead per row, lam[i] + t - 1 - i
+for t = len(lam); shifting a mask up by p and filling bits 0..p-1 pads it
+with p zero rows, which decode to the same partition.  Removing a ribbon
+(border strip) of length k is moving one bead from position b down to the
+empty position b - k; the ribbon's height is the number of beads strictly
+between the two positions.
 
 Conventions fixed here, since the literature varies:
 
-* d-quotient: take t = d * ceil(len(nu) / d) beads; runner r holds the beads
-  congruent to r mod d, read as beta numbers b // d; the quotient tuple is
-  ordered by residue r = 0, ..., d-1.  Downstream consumers only multiply
-  the quotient components together, so the ordering is internal, but it is
-  fixed for reproducible output.
+* d-quotient: pad the canonical mask to t = d * ceil(len(nu) / d) beads;
+  runner r holds the beads congruent to r mod d, as a mask with bit q set
+  when bead q * d + r is; the quotient tuple is ordered by residue
+  r = 0, ..., d-1.  Downstream consumers only multiply the quotient
+  components together, so the ordering is internal, but it is fixed for
+  reproducible output.
 * d-sign: sign of the permutation that moves every bead down its runner into
   the packed (core) configuration.  This equals the product of ribbon signs
   over any full stripping sequence, which is how the tests validate it.
@@ -23,33 +26,8 @@ Conventions fixed here, since the literature varies:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .partitions import Partition, PartitionError, check_partition
-
-
-@dataclass(frozen=True)
-class BetaSet:
-    """Strictly decreasing nonnegative beta numbers encoding a partition."""
-
-    betas: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.betas)
-
-    def to_partition(self) -> Partition:
-        """Decode: subtract the staircase t-1-i and drop zero parts."""
-        return decode_mask(sum(1 << b for b in self.betas))
-
-
-def beta_set(lam: Partition, t: int) -> BetaSet:
-    """Beta numbers of lam using t beads; t must cover every part of lam."""
-    lam = check_partition(lam)
-    if t < len(lam):
-        raise PartitionError(f"beta-set too short: {t} beads for {len(lam)} parts")
-    padded = lam + (0,) * (t - len(lam))
-    return BetaSet(tuple(padded[i] + t - 1 - i for i in range(t)))
 
 
 # Bounded memo: callers encode the same few shapes again and again.
@@ -69,15 +47,6 @@ def decode_mask(mask: int) -> Partition:
         parts.append(low.bit_length() - 1 - len(parts))
         mask ^= low
     return tuple(part for part in reversed(parts) if part)
-
-
-@dataclass(frozen=True)
-class RibbonRemoval:
-    """One way to strip a border strip: the smaller shape, its height, its sign."""
-
-    smaller: Partition
-    height: int
-    sign: int
 
 
 def mask_ribbons(mask: int, length: int) -> list[tuple[int, int]]:
@@ -101,31 +70,21 @@ def mask_ribbons(mask: int, length: int) -> list[tuple[int, int]]:
     return moves
 
 
-def remove_ribbons(lam: Partition, length: int) -> list[RibbonRemoval]:
-    """All single removals of a ribbon of the given length from lam.
-
-    Returns the empty list when no such ribbon exists.  Order is by the
-    abacus position of the moved bead, ascending; for the diagram this means
-    ribbons closer to the bottom row come first.
-    """
-    lam = check_partition(lam)
-    if length < 1:
-        raise PartitionError(f"ribbon length must be positive, got {length}")
-    moves = mask_ribbons(encode_mask(lam), length)
-    return [RibbonRemoval(decode_mask(smaller), height, -1 if height % 2 else 1) for smaller, height in moves]
-
-
-def _runners(nu: Partition, d: int) -> tuple[tuple[int, ...], list[list[int]]]:
-    """The beta numbers of nu on d * ceil(len/d) beads, decreasing, and per
-    residue r the b // d values of the beads congruent to r (runner r)."""
+def _runners(nu: Partition, d: int) -> list[int]:
+    """Per residue r, the mask of runner r of nu's abacus on d * ceil(len/d)
+    beads: bit q set when bead q * d + r is."""
     if d < 1:
         raise PartitionError(f"ribbon length must be positive, got {d}")
     nu = check_partition(nu)
-    betas = beta_set(nu, -(-len(nu) // d) * d).betas
-    runners: list[list[int]] = [[] for _ in range(d)]
-    for b in betas:
-        runners[b % d].append(b // d)
-    return betas, runners
+    pad = -len(nu) % d
+    mask = (encode_mask(nu) << pad) | ((1 << pad) - 1)
+    runners = [0] * d
+    while mask:
+        low = mask & -mask
+        q, r = divmod(low.bit_length() - 1, d)
+        runners[r] |= 1 << q
+        mask ^= low
+    return runners
 
 
 def d_core(nu: Partition, d: int) -> Partition:
@@ -134,8 +93,8 @@ def d_core(nu: Partition, d: int) -> Partition:
     Computed by packing each runner's beads into its lowest positions, which
     is what repeated bead moves converge to regardless of order.
     """
-    _, runners = _runners(nu, d)
-    return decode_mask(sum(1 << (q * d + r) for r, runner in enumerate(runners) for q in range(len(runner))))
+    runners = _runners(nu, d)
+    return decode_mask(sum(1 << (q * d + r) for r, runner in enumerate(runners) for q in range(runner.bit_count())))
 
 
 def d_quotient(nu: Partition, d: int) -> tuple[Partition, ...]:
@@ -143,25 +102,28 @@ def d_quotient(nu: Partition, d: int) -> tuple[Partition, ...]:
 
     Sizes satisfy |nu| = |d_core(nu, d)| + d * sum of component sizes.
     """
-    _, runners = _runners(nu, d)
-    return tuple(decode_mask(sum(1 << q for q in runner)) for runner in runners)
+    return tuple(decode_mask(runner) for runner in _runners(nu, d))
 
 
 def d_sign(nu: Partition, d: int) -> int | None:
     """Product of ribbon signs over a full stripping of nu into d-ribbons.
 
     None when the d-core is nonempty (no full stripping exists).  Otherwise
-    computed as the sign of the permutation sorting the beta numbers into the
+    computed as the sign of the permutation sorting the beads into the
     packed-runner configuration, which is stripping-order independent.
     """
-    if d_core(nu, d):
+    runners = _runners(nu, d)
+    # The d-core is empty exactly when the packed runners fill 0..t-1, i.e.
+    # when every runner holds the same number of beads.
+    if len({runner.bit_count() for runner in runners}) > 1:
         return None
-    betas, runners = _runners(nu, d)
-    # The j-th highest bead of runner r (1-based) comes to rest at (len(runner) - j) * d + r.
+    # In ascending position, the k-th bead of runner r (0-based) comes to rest at k * d + r.
     seen = [0] * d
     finals = []
-    for r in (b % d for b in betas):
-        seen[r] += 1
-        finals.append((len(runners[r]) - seen[r]) * d + r)
-    inversions = sum(a < b for i, a in enumerate(finals) for b in finals[i + 1 :])
+    for q in range(max(runners).bit_length()):
+        for r, runner in enumerate(runners):
+            if runner >> q & 1:
+                finals.append(seen[r] * d + r)
+                seen[r] += 1
+    inversions = sum(a > b for i, a in enumerate(finals) for b in finals[i + 1 :])
     return -1 if inversions % 2 else 1

@@ -19,6 +19,7 @@ import os
 import sys
 
 from . import verify as verify_mod
+from .abacus import d_core, d_quotient, d_sign
 from .characters import (
     ROUTE_DIRECT,
     ROUTE_PLETHYSTIC,
@@ -157,8 +158,6 @@ def cmd_boxplus(args: argparse.Namespace, config: Config, cache: CharCache) -> i
 
 
 def cmd_quotient(args: argparse.Namespace, config: Config) -> int:
-    from .abacus import d_core, d_quotient, d_sign
-
     nu = parse_partition(args.nu)
     # No d-ribbon fits in nu when d > |nu|.
     verify_mod.check_limit("--d", args.d, max(sum(nu), 1))
@@ -184,9 +183,12 @@ def cmd_verify(args: argparse.Namespace, config: Config, cache: CharCache) -> in
     if sweep is None:
         reports = verify_mod.run_verify_all(*limits, cache)
     else:
-        size = getattr(args, sweep.size_name)
-        size = sweep.sizes[-1] if size is None else size
-        d = sweep.default_d if args.d is None else args.d
+        size, d = getattr(args, sweep.size_name), args.d
+        if size is None or d is None:
+            if sweep.default is None:
+                raise ValueError(f"verify {args.which} has an empty grid under the configured limits; give --n and --d")
+            size = sweep.default[0] if size is None else size
+            d = sweep.default[1] if d is None else d
         reports = [getattr(verify_mod, sweep.function)(size, d, *sweep.limits, cache)]
     if not args.timings:
         reports = [report.without_timing() for report in reports]

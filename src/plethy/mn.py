@@ -38,7 +38,8 @@ class CharCache:
     entries are appended in a single write per flush().  The format is one
     entry per line, ``<nu parts>|<rho parts>=<decimal integer>``, e.g.
     ``4,4|2,2,2,2=6``.  Duplicate lines must agree or loading fails.  Inside,
-    shapes are bead masks (abacus.encode_mask); get/put take partitions.
+    shapes are bead masks (abacus.encode_mask); get/put take partitions and
+    check them like mn_value.
     """
 
     def __init__(self, path: str | os.PathLike | None = None):
@@ -71,10 +72,10 @@ class CharCache:
         self._saved = len(self._values)
 
     def get(self, nu: Partition, rho: Partition) -> int | None:
-        return self._values.get((encode_mask(nu), rho))
+        return self._values.get(_key(nu, rho))
 
     def put(self, nu: Partition, rho: Partition, value: int) -> None:
-        self._values.setdefault((encode_mask(nu), rho), value)
+        self._values.setdefault(_key(nu, rho), value)
 
     def flush(self) -> None:
         """Append entries recorded since the last flush in one atomic write."""
@@ -109,13 +110,8 @@ def default_cache() -> CharCache:
     return _default_cache
 
 
-def mn_value(nu: Partition, rho: Partition, cache: CharCache | None = None) -> int:
-    """The irreducible character of shape nu at the class of cycle type rho.
-
-    Exact integer; |nu| must equal |rho|.  Values are memoized (including
-    every intermediate pair the recursion touches) through the given cache,
-    or the process-wide default.
-    """
+def _key(nu: Partition, rho: Partition) -> tuple[int, Partition]:
+    """The memo key (bead mask of nu, rho) of a checked pair with |nu| = |rho|."""
     nu = check_partition(nu)
     rho = check_partition(rho)
     if sum(nu) != sum(rho):
@@ -123,7 +119,17 @@ def mn_value(nu: Partition, rho: Partition, cache: CharCache | None = None) -> i
             f"degree mismatch: |{format_partition(nu) or '()'}| = {sum(nu)}"
             f" but |{format_partition(rho) or '()'}| = {sum(rho)}"
         )
-    return _mn(encode_mask(nu), rho, (cache if cache is not None else _default_cache)._values)
+    return encode_mask(nu), rho
+
+
+def mn_value(nu: Partition, rho: Partition, cache: CharCache | None = None) -> int:
+    """The irreducible character of shape nu at the class of cycle type rho.
+
+    Exact integer; |nu| must equal |rho|.  Values are memoized (including
+    every intermediate pair the recursion touches) through the given cache,
+    or the process-wide default.
+    """
+    return _mn(*_key(nu, rho), (cache if cache is not None else _default_cache)._values)
 
 
 def _mn(mask: int, rho: Partition, values: dict[tuple[int, Partition], int]) -> int:

@@ -75,9 +75,6 @@ class SymFunc:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, mu: Partition) -> Fraction:
-        return self.terms.get(check_partition(mu), Fraction(0))
-
     def degrees(self) -> list[int]:
         return sorted({sum(key) for key in self.terms})
 

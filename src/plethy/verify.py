@@ -479,16 +479,15 @@ def verify_hall_oracle(
 class Sweep(NamedTuple):
     """One sweep: the name of the function of this module that runs it (looked
     up at call time, so a patched attribute is what runs), the name of its
-    size argument, the sizes and d values of its `run_verify_all` grid, the
-    (size limit, d limit) passed to it, and the d of a single run when none
-    is given.  A single run's default size is the largest of the grid."""
+    size argument, the (size, d) pairs of its `run_verify_all` grid, the
+    (size limit, d limit) passed to it, and the (size, d) of a single run
+    for each flag not given (None when there is no such pair)."""
 
     function: str
     size_name: str
-    sizes: Sequence[int]
-    ds: Sequence[int]
+    grid: Sequence[tuple[int, int]]
     limits: tuple[int, int]
-    default_d: int
+    default: tuple[int, int] | None
 
 
 def sweep_table(
@@ -500,21 +499,32 @@ def sweep_table(
 ) -> dict[str, Sweep]:
     """Every sweep by its CLI name, in the order run_verify_all runs them.
 
-    The d-grids start at 2 (d = 1 cases are identities).
+    The d-grids start at 2 (d = 1 cases are identities).  The vanishing
+    sweep keeps only the pairs with d not dividing n, and a single run of it
+    defaults to the last of them.
     """
     thm1_ds = range(2, thm1_d + 1)
     thm2_ds = range(2, thm2_d + 1)
-    thm1 = (range(1, thm1_n + 1), thm1_ds, (thm1_n, thm1_d), thm1_d)
-    thm2 = (range(1, thm2_n + 1), thm2_ds, (thm2_n, thm2_d), thm2_d)
-    littlewood = ((littlewood_size,), thm1_ds, (littlewood_size, thm1_d), min(2, thm1_d))
-    oracle_sizes = range(1, min(thm2_n, DEFAULT_ORACLE_N) + 1)
+    thm1_grid = [(n, d) for n in range(1, thm1_n + 1) for d in thm1_ds]
+    thm2_grid = [(n, d) for n in range(1, thm2_n + 1) for d in thm2_ds]
+    vanish_grid = [(n, d) for n, d in thm2_grid if n % d]
+    littlewood_grid = [(littlewood_size, d) for d in thm1_ds]
+    oracle_grid = [(n, d) for n in range(1, min(thm2_n, DEFAULT_ORACLE_N) + 1) for d in thm2_ds]
+    thm1_limits = (thm1_n, thm1_d)
+    thm2_limits = (thm2_n, thm2_d)
     return {
-        "thm1": Sweep("verify_theorem1", "n", *thm1),
-        "thm1-scaled": Sweep("verify_theorem1_scaled", "n", *thm1),
-        "littlewood": Sweep("verify_littlewood", "max_size", *littlewood),
-        "thm2-div": Sweep("verify_theorem2_div", "n", *thm2),
-        "thm2-vanish": Sweep("verify_theorem2_vanish", "n", *thm2),
-        "oracle": Sweep("verify_hall_oracle", "n", oracle_sizes, thm2_ds, (DEFAULT_ORACLE_N, thm2_d), thm2_d),
+        "thm1": Sweep("verify_theorem1", "n", thm1_grid, thm1_limits, thm1_limits),
+        "thm1-scaled": Sweep("verify_theorem1_scaled", "n", thm1_grid, thm1_limits, thm1_limits),
+        "littlewood": Sweep(
+            "verify_littlewood", "max_size", littlewood_grid, (littlewood_size, thm1_d), (littlewood_size, min(2, thm1_d))
+        ),
+        "thm2-div": Sweep("verify_theorem2_div", "n", thm2_grid, thm2_limits, thm2_limits),
+        "thm2-vanish": Sweep(
+            "verify_theorem2_vanish", "n", vanish_grid, thm2_limits, vanish_grid[-1] if vanish_grid else None
+        ),
+        "oracle": Sweep(
+            "verify_hall_oracle", "n", oracle_grid, (DEFAULT_ORACLE_N, thm2_d), (min(thm2_n, DEFAULT_ORACLE_N), thm2_d)
+        ),
     }
 
 
@@ -526,14 +536,9 @@ def run_verify_all(
     thm2_d: int = DEFAULT_THM2_D,
     cache: CharCache | None = None,
 ) -> list[VerificationReport]:
-    """Run every sweep over its grid, in the order of sweep_table.
-
-    The vanishing sweep keeps only the pairs with d not dividing n.
-    """
-    reports = []
-    for which, sweep in sweep_table(thm1_n, thm1_d, littlewood_size, thm2_n, thm2_d).items():
-        for size in sweep.sizes:
-            for d in sweep.ds:
-                if which != "thm2-vanish" or size % d:
-                    reports.append(globals()[sweep.function](size, d, *sweep.limits, cache))
-    return reports
+    """Run every sweep over its grid, in the order of sweep_table."""
+    return [
+        globals()[sweep.function](size, d, *sweep.limits, cache)
+        for sweep in sweep_table(thm1_n, thm1_d, littlewood_size, thm2_n, thm2_d).values()
+        for size, d in sweep.grid
+    ]

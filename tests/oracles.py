@@ -15,6 +15,9 @@ genuine cross-check rather than a tautology:
 * partition_ribbons, partition_mn: the ribbon-stripping kernel on partition
   tuples and sorted beta lists, as the package had it before its bead-mask
   kernel, kept to test that kernel differentially;
+* beta_core, beta_quotient, beta_sign: d-core, d-quotient and d-sign on
+  beta-number tuples, as the package had them before it read its runners
+  off bead masks, kept to test those differentially;
 * count_partitions: partition counts by capped-part dynamic programming.
 """
 
@@ -224,3 +227,44 @@ def partition_mn(nu: tuple[int, ...], rho: tuple[int, ...], memo: dict | None = 
         removals = partition_ribbons(nu, rho[0])
         memo[key] = sum(sign * partition_mn(smaller, rho[1:], memo) for smaller, _, sign in removals)
     return memo[key]
+
+
+def beta_runners(nu: tuple[int, ...], d: int) -> tuple[list[int], list[list[int]]]:
+    """The beta numbers of nu on d * ceil(len/d) beads, decreasing, and per
+    residue r the b // d values of the beads congruent to r (runner r)."""
+    t = -(-len(nu) // d) * d
+    padded = nu + (0,) * (t - len(nu))
+    betas = [padded[i] + t - 1 - i for i in range(t)]
+    runners: list[list[int]] = [[] for _ in range(d)]
+    for b in betas:
+        runners[b % d].append(b // d)
+    return betas, runners
+
+
+def beta_core(nu: tuple[int, ...], d: int) -> tuple[int, ...]:
+    """d-core: pack each runner's beads into its lowest positions."""
+    _, runners = beta_runners(nu, d)
+    packed = sorted((q * d + r for r, runner in enumerate(runners) for q in range(len(runner))), reverse=True)
+    return _decode_betas(packed)
+
+
+def beta_quotient(nu: tuple[int, ...], d: int) -> tuple[tuple[int, ...], ...]:
+    """d-quotient: each runner's beads read as beta numbers, by residue."""
+    _, runners = beta_runners(nu, d)
+    return tuple(_decode_betas(runner) for runner in runners)
+
+
+def beta_sign(nu: tuple[int, ...], d: int) -> int | None:
+    """d-sign: sign of the permutation packing every bead down its runner;
+    None when the d-core is nonempty."""
+    if beta_core(nu, d):
+        return None
+    betas, runners = beta_runners(nu, d)
+    # The j-th highest bead of runner r (1-based) comes to rest at (len(runner) - j) * d + r.
+    seen = [0] * d
+    finals = []
+    for r in (b % d for b in betas):
+        seen[r] += 1
+        finals.append((len(runners[r]) - seen[r]) * d + r)
+    inversions = sum(a < b for i, a in enumerate(finals) for b in finals[i + 1 :])
+    return -1 if inversions % 2 else 1

@@ -1,18 +1,14 @@
 import random
 
-import pytest
 from hypothesis import given, strategies as st
 
 import oracles
 from plethy import (
-    PartitionError,
-    beta_set,
     boxplus,
     d_core,
     d_quotient,
     d_sign,
     partitions_of,
-    remove_ribbons,
 )
 from plethy.abacus import decode_mask, encode_mask, mask_ribbons
 
@@ -51,64 +47,49 @@ def is_valid_ribbon(larger, smaller, length):
     return len(rows) - 1
 
 
+def ribbons(lam, length):
+    """(smaller, height, sign) of every ribbon removal, through the bead-mask step."""
+    return [
+        (decode_mask(smaller), height, (-1) ** height)
+        for smaller, height in mask_ribbons(encode_mask(lam), length)
+    ]
+
+
 def strip_fully(nu, d, rng):
     """Remove d-ribbons in a random order until stuck; return (core, sign)."""
     sign = 1
     while True:
-        options = remove_ribbons(nu, d)
+        options = ribbons(nu, d)
         if not options:
             return nu, sign
-        choice = rng.choice(options)
-        sign *= choice.sign
-        nu = choice.smaller
-
-
-class TestBetaSet:
-    def test_examples(self):
-        assert beta_set((2, 1), 3).betas == (4, 2, 0)
-        assert beta_set((), 4).betas == (3, 2, 1, 0)
-
-    def test_too_short(self):
-        with pytest.raises(PartitionError, match="beta-set too short"):
-            beta_set((2, 1), 1)
-
-    @given(partitions, st.integers(min_value=0, max_value=4))
-    def test_round_trip(self, lam, extra):
-        bs = beta_set(lam, len(lam) + extra)
-        assert bs.size == len(lam) + extra
-        assert list(bs.betas) == sorted(bs.betas, reverse=True)
-        assert len(set(bs.betas)) == bs.size
-        assert bs.to_partition() == lam
+        nu, _, choice_sign = rng.choice(options)
+        sign *= choice_sign
 
 
 class TestRemoveRibbons:
     def test_domino_removals_from_square(self):
-        out = remove_ribbons((2, 2), 2)
-        assert [(r.smaller, r.height, r.sign) for r in out] == [
+        assert ribbons((2, 2), 2) == [
             ((2,), 0, 1),
             ((1, 1), 1, -1),
         ]
 
     def test_no_ribbon_through_square(self):
-        assert remove_ribbons((2, 2), 4) == []
+        assert ribbons((2, 2), 4) == []
 
     def test_single_row_strip(self):
         for n in range(1, 7):
-            out = remove_ribbons((n,), n)
-            assert [(r.smaller, r.height, r.sign) for r in out] == [((), 0, 1)]
+            assert ribbons((n,), n) == [((), 0, 1)]
 
     @given(partitions, st.integers(min_value=1, max_value=5))
     def test_each_removal_is_a_genuine_ribbon(self, lam, length):
-        for removal in remove_ribbons(lam, length):
-            assert sum(removal.smaller) == sum(lam) - length
-            height = is_valid_ribbon(lam, removal.smaller, length)
-            assert height is not None, (lam, removal)
-            assert removal.height == height
-            assert removal.sign == (-1) ** height
+        for smaller, height, sign in ribbons(lam, length):
+            assert sum(smaller) == sum(lam) - length
+            assert is_valid_ribbon(lam, smaller, length) == height, (lam, smaller)
+            assert sign == (-1) ** height
 
     @given(partitions, st.integers(min_value=1, max_value=5))
     def test_removals_are_exhaustive(self, lam, length):
-        found = {r.smaller for r in remove_ribbons(lam, length)}
+        found = {smaller for smaller, _, _ in ribbons(lam, length)}
         if sum(lam) >= length:
             candidates = {
                 mu for mu in partitions_of(sum(lam) - length)
@@ -120,8 +101,7 @@ class TestRemoveRibbons:
         for n in range(11):
             for lam in partitions_of(n):
                 for length in range(1, n + 1):
-                    out = [(r.smaller, r.height, r.sign) for r in remove_ribbons(lam, length)]
-                    assert out == oracles.partition_ribbons(lam, length), (lam, length)
+                    assert ribbons(lam, length) == oracles.partition_ribbons(lam, length), (lam, length)
 
 
 class TestBeadMask:
@@ -130,6 +110,17 @@ class TestBeadMask:
         assert encode_mask((2, 1)) == 0b1010
         assert decode_mask(0b1010) == (2, 1)
         assert decode_mask(0b1010 << 3 | 0b111) == (2, 1)
+
+    def test_padded_examples(self):
+        # Beta numbers 4, 2, 0 and 3, 2, 1, 0: (2, 1) and () padded to 3 and 4 beads.
+        assert encode_mask((2, 1)) << 1 | 1 == 0b10101
+        assert encode_mask(()) << 4 | 0b1111 == 0b1111
+
+    @given(partitions, st.integers(min_value=0, max_value=4))
+    def test_padded_round_trip(self, lam, extra):
+        padded = encode_mask(lam) << extra | ((1 << extra) - 1)
+        assert padded.bit_count() == len(lam) + extra
+        assert decode_mask(padded) == lam
 
     def test_round_trip_and_distinct(self):
         masks = set()
@@ -203,3 +194,11 @@ class TestCoreQuotientSign:
                     quotient = d_quotient(nu, d)
                     assert len(quotient) == d
                     assert sum(nu) == sum(d_core(nu, d)) + d * sum(sum(q) for q in quotient)
+
+    def test_matches_beta_tuple_route_exhaustively(self):
+        for n in range(13):
+            for nu in partitions_of(n):
+                for d in range(1, n + 2):
+                    assert d_core(nu, d) == oracles.beta_core(nu, d), (nu, d)
+                    assert d_quotient(nu, d) == oracles.beta_quotient(nu, d), (nu, d)
+                    assert d_sign(nu, d) == oracles.beta_sign(nu, d), (nu, d)

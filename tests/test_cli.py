@@ -206,6 +206,22 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["params"] == params
 
+    @pytest.mark.parametrize("override", [{"thm2_d": 2}, {"thm2_n": 3}])
+    def test_vanish_default_is_the_last_pair_of_its_grid(self, capsys, tmp_path, override):
+        cfg = tmp_path / "plethy.cfg"
+        write_config(cfg, cache_path=str(tmp_path / "mn.txt"), **override)
+        code, out, err = run_cli(capsys, "--config", str(cfg), "verify", "thm2-vanish")
+        assert code == 0, err
+        data = json.loads(out)
+        assert data["status"] == "PASS" and data["params"] == {"n": 3, "d": 2}
+
+    def test_vanish_with_an_empty_grid_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "plethy.cfg"
+        write_config(cfg, cache_path=str(tmp_path / "mn.txt"), thm2_d=1)
+        code, out, err = run_cli(capsys, "--config", str(cfg), "verify", "thm2-vanish")
+        assert code == 2 and out == ""
+        assert "verify thm2-vanish has an empty grid" in err
+
     @pytest.mark.parametrize(
         "argv, flag",
         [

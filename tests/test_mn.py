@@ -8,6 +8,7 @@ from plethy import (
     CacheFormatError,
     CharCache,
     DegreeMismatchError,
+    PartitionError,
     character_table,
     conjugate,
     mn_value,
@@ -167,6 +168,26 @@ class TestCharCache:
         cache.put((1, 1), (1, 1), 1)
         cache.flush()
         assert path.read_text() == "4,4|2,2,2,2=6\n4,4|2,2,2,2=6\n2|1,1=1\n1,1|1,1=1\n"
+
+    @pytest.mark.parametrize(
+        "method, args, error",
+        [
+            ("put", ((1, 2), (3,), 99), PartitionError),
+            ("put", ((2,), (1, 2), 5), PartitionError),
+            ("put", ((2, 1), (2,), 5), DegreeMismatchError),
+            ("get", ((1, 2), (3,)), PartitionError),
+            ("get", ((2, 1), (2, 2)), DegreeMismatchError),
+        ],
+    )
+    def test_get_and_put_check_like_mn_value(self, tmp_path, method, args, error):
+        path = tmp_path / "cache.txt"
+        cache = CharCache(path)
+        with pytest.raises(error):
+            getattr(cache, method)(*args)
+        assert len(cache) == 0
+        cache.flush()
+        assert not path.exists()
+        assert mn_value((3,), (3,), cache) == 1
 
     def test_clear(self, tmp_path):
         path = tmp_path / "cache.txt"
