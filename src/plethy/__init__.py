@@ -17,7 +17,7 @@ from .characters import (
     scaled_classfunction,
 )
 from .config import Config, default_cache_path, load_config, parse_config, save_config
-from .mn import CacheFormatError, CharCache, DegreeMismatchError, character_table, default_cache, mn_value
+from .mn import CacheFormatError, CharCache, DegreeMismatchError, character_table, mn_value
 from .partitions import (
     EMPTY,
     Partition,

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import symfunc
-from .mn import CharCache, mn_value
+from .mn import CharCache, character_row, mn_value
 from .partitions import (
     Partition,
     boxplus,
@@ -95,30 +95,29 @@ class ClassFunction:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ClassFunction":
-        values = {parse_partition(key): symfunc.parse_rational(text) for key, text in data["values"].items()}
-        return cls(int(data["n"]), values)
+        try:
+            n, values = data["n"], data["values"]
+        except KeyError as exc:
+            raise ValueError(f"class function JSON has no {exc.args[0]!r} field") from None
+        return cls(int(n), {parse_partition(key): symfunc.parse_rational(text) for key, text in values.items()})
 
 
 def irreducible_character(lam: Partition, cache: CharCache | None = None) -> ClassFunction:
     """The irreducible character indexed by lam, as a class function."""
-    lam = check_partition(lam)
-    n = sum(lam)
-    return ClassFunction(n, {mu: Fraction(mn_value(lam, mu, cache)) for mu in partitions_of(n)})
+    row = character_row(lam, cache)
+    return ClassFunction(sum(lam), row)
 
 
 def ch(phi: ClassFunction) -> SymFunc:
     """Characteristic map: sum of value(mu)/z_mu * p_mu over cycle types."""
-    return SymFunc({mu: value / centralizer_order(mu) for mu, value in phi.values.items()})
+    return SymFunc._of({mu: value / centralizer_order(mu) for mu, value in phi.values.items()})
 
 
 def ch_inverse(f: SymFunc, n: int) -> ClassFunction:
     """Inverse characteristic map; the value at mu is the pairing with p_mu."""
     if any(sum(key) != n for key in f.terms):
         raise ValueError(f"not homogeneous of degree {n}: degrees {f.degrees()}")
-    return ClassFunction(
-        n,
-        {mu: f.terms.get(mu, Fraction(0)) * centralizer_order(mu) for mu in partitions_of(n)},
-    )
+    return ClassFunction(n, {mu: f.terms.get(mu, 0) * centralizer_order(mu) for mu in partitions_of(n)})
 
 
 def induction_product(phi: ClassFunction, psi: ClassFunction) -> ClassFunction:
@@ -158,7 +157,7 @@ def boxplus_classfunction(
     n = sum(lam)
     if route == ROUTE_DIRECT:
         big = boxplus(lam, d)
-        values = {mu: Fraction(mn_value(big, boxplus(mu, d), cache)) for mu in partitions_of(n)}
+        values = {mu: mn_value(big, boxplus(mu, d), cache) for mu in partitions_of(n)}
     elif route == ROUTE_PLETHYSTIC:
         power = symfunc.power_d(symfunc.schur_to_power(lam, cache), d)
         values = {mu: symfunc.hall_inner(power, SymFunc.power(union_power(mu, d))) for mu in partitions_of(n)}
@@ -173,8 +172,5 @@ def scaled_classfunction(lam: Partition, d: int, cache: CharCache | None = None)
     lam = check_partition(lam)
     if d < 1:
         raise ValueError(f"scale factor must be positive, got {d}")
-    n = sum(lam)
-    return ClassFunction(
-        n,
-        {mu: Fraction(mn_value(scale(lam, d), scale(mu, d), cache)) for mu in partitions_of(n)},
-    )
+    n, big = sum(lam), scale(lam, d)
+    return ClassFunction(n, {mu: mn_value(big, scale(mu, d), cache) for mu in partitions_of(n)})

@@ -105,11 +105,6 @@ class CharCache:
 _default_cache = CharCache()
 
 
-def default_cache() -> CharCache:
-    """The process-wide in-memory cache used when no cache is passed."""
-    return _default_cache
-
-
 def _key(nu: Partition, rho: Partition) -> tuple[int, Partition]:
     """The memo key (bead mask of nu, rho) of a checked pair with |nu| = |rho|."""
     nu = check_partition(nu)
@@ -130,6 +125,14 @@ def mn_value(nu: Partition, rho: Partition, cache: CharCache | None = None) -> i
     or the process-wide default.
     """
     return _mn(*_key(nu, rho), (cache if cache is not None else _default_cache)._values)
+
+
+def character_row(lam: Partition, cache: CharCache | None = None) -> dict[Partition, int]:
+    """{mu: character of shape lam at mu} over partitions_of(|lam|), in that
+    order.  Checks lam once; classes from partitions_of need no check."""
+    lam = check_partition(lam)
+    mask, values = encode_mask(lam), (cache if cache is not None else _default_cache)._values
+    return {mu: _mn(mask, mu, values) for mu in partitions_of(sum(lam))}
 
 
 def _mn(mask: int, rho: Partition, values: dict[tuple[int, Partition], int]) -> int:
@@ -159,5 +162,4 @@ def character_table(n: int, max_n: int = DEFAULT_TABLE_LIMIT, cache: CharCache |
         raise ValueError(f"table size must be nonnegative, got {n}")
     if n > max_n:
         raise ValueError(f"table too large: n = {n} exceeds the limit {max_n}")
-    mus = partitions_of(n)
-    return [[mn_value(lam, mu, cache) for mu in mus] for lam in mus]
+    return [list(character_row(lam, cache).values()) for lam in partitions_of(n)]

@@ -11,7 +11,9 @@ transition
     s_lam = sum over mu of (chi^lam_mu / z_mu) * p_mu
 
 so every coefficient stays an exact Fraction; there is no floating point
-anywhere in this module.
+anywhere in this module.  The public SymFunc constructor (to_power uses it
+too) checks every key and makes every coefficient a Fraction; the module's
+own results are trusted and only drop their zero coefficients.
 
 Conventions:
 
@@ -46,14 +48,6 @@ from .partitions import (
     union,
 )
 
-def _clean(terms: Mapping[Partition, Fraction | int]) -> dict[Partition, Fraction]:
-    out = {}
-    for key, coeff in terms.items():
-        coeff = Fraction(coeff)
-        if coeff:
-            out[check_partition(key)] = coeff
-    return out
-
 
 @dataclass(frozen=True)
 class SymFunc:
@@ -62,15 +56,19 @@ class SymFunc:
     terms: dict[Partition, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", _clean(self.terms))
+        terms = {key: Fraction(coeff) for key, coeff in self.terms.items()}
+        object.__setattr__(self, "terms", {check_partition(key): c for key, c in terms.items() if c})
 
     @classmethod
-    def zero(cls) -> "SymFunc":
-        return cls({})
+    def _of(cls, terms: Mapping[Partition, Fraction]) -> "SymFunc":
+        """Trusted construction from partition keys and Fractions: only drops zeros."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "terms", {key: coeff for key, coeff in terms.items() if coeff})
+        return f
 
     @classmethod
     def power(cls, mu: Partition, coeff: Fraction | int = 1) -> "SymFunc":
-        return cls({check_partition(mu): Fraction(coeff)})
+        return cls({tuple(mu): coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -79,20 +77,20 @@ class SymFunc:
         return sorted({sum(key) for key in self.terms})
 
     def homogeneous_component(self, n: int) -> "SymFunc":
-        return SymFunc({key: c for key, c in self.terms.items() if sum(key) == n})
+        return SymFunc._of({key: c for key, c in self.terms.items() if sum(key) == n})
 
     def __add__(self, other: "SymFunc") -> "SymFunc":
         out = dict(self.terms)
         for key, coeff in other.terms.items():
             out[key] = out.get(key, Fraction(0)) + coeff
-        return SymFunc(out)
+        return SymFunc._of(out)
 
     def __sub__(self, other: "SymFunc") -> "SymFunc":
         return self + (-1) * other
 
     def __rmul__(self, scalar: Fraction | int) -> "SymFunc":
         scalar = Fraction(scalar)
-        return SymFunc({key: scalar * coeff for key, coeff in self.terms.items()})
+        return SymFunc._of({key: scalar * coeff for key, coeff in self.terms.items()})
 
     def sorted_items(self) -> list[tuple[Partition, Fraction]]:
         return sorted(self.terms.items(), key=lambda item: sort_key(item[0]))
@@ -105,9 +103,13 @@ class SymFunc:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SymFunc":
-        if data["basis"] != "p":
-            raise ValueError(f"unknown basis {data['basis']!r}, expected 'p' (power sums)")
-        return cls({parse_partition(key): parse_rational(text) for key, text in data["terms"].items()})
+        try:
+            basis, terms = data["basis"], data["terms"]
+        except KeyError as exc:
+            raise ValueError(f"symmetric function JSON has no {exc.args[0]!r} field") from None
+        if basis != "p":
+            raise ValueError(f"unknown basis {basis!r}, expected 'p' (power sums)")
+        return cls({parse_partition(key): parse_rational(text) for key, text in terms.items()})
 
 
 def format_rational(value: Fraction) -> str:
@@ -124,13 +126,8 @@ def parse_rational(text: str) -> Fraction:
 
 def schur_to_power(lam: Partition, cache: mn.CharCache | None = None) -> SymFunc:
     """Power-sum expansion of a single Schur function via character values."""
-    lam = check_partition(lam)
-    terms = {}
-    for mu in partitions_of(sum(lam)):
-        value = mn.mn_value(lam, mu, cache)
-        if value:
-            terms[mu] = Fraction(value, centralizer_order(mu))
-    return SymFunc(terms)
+    row = mn.character_row(lam, cache)
+    return SymFunc._of({mu: Fraction(value, centralizer_order(mu)) for mu, value in row.items()})
 
 
 def to_power(schur: Mapping[Partition, Fraction | int], cache: mn.CharCache | None = None) -> SymFunc:
@@ -166,7 +163,7 @@ def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
         for nu, b in g.terms.items():
             key = union(mu, nu)
             out[key] = out.get(key, Fraction(0)) + a * b
-    return SymFunc(out)
+    return SymFunc._of(out)
 
 
 def power_d(f: SymFunc, d: int) -> SymFunc:
@@ -195,7 +192,7 @@ def psi_d(f: SymFunc, d: int) -> SymFunc:
     """Substitute each variable by its d-th power: p_mu goes to p_(d*mu)."""
     if d < 1:
         raise ValueError(f"substitution power must be positive, got {d}")
-    return SymFunc({scale(mu, d): coeff for mu, coeff in f.terms.items()})
+    return SymFunc._of({scale(mu, d): coeff for mu, coeff in f.terms.items()})
 
 
 def phi_d_power(f: SymFunc, d: int) -> SymFunc:
@@ -212,7 +209,7 @@ def phi_d_power(f: SymFunc, d: int) -> SymFunc:
             continue
         key = tuple(part // d for part in nu)
         out[key] = out.get(key, Fraction(0)) + coeff * d ** len(nu)
-    return SymFunc(out)
+    return SymFunc._of(out)
 
 
 def phi_d_littlewood(nu: Partition, d: int, cache: mn.CharCache | None = None) -> SymFunc:
@@ -225,7 +222,7 @@ def phi_d_littlewood(nu: Partition, d: int, cache: mn.CharCache | None = None) -
     """
     sign = d_sign(nu, d)
     if sign is None:
-        return SymFunc.zero()
+        return SymFunc()
     result = SymFunc.power(EMPTY, sign)
     for component in d_quotient(nu, d):
         result = multiply(result, schur_to_power(component, cache))

@@ -41,7 +41,7 @@ from .characters import (
     decompose,
     scaled_classfunction,
 )
-from .mn import CharCache, mn_value
+from .mn import CharCache, character_row, mn_value
 from .partitions import (
     Partition,
     boxplus,
@@ -147,8 +147,9 @@ def _character_failures(lam: Partition, phi: ClassFunction, cache: CharCache | N
                 "relation": "multiplicity is a nonnegative integer",
                 "multiplicity": symfunc.format_rational(m),
             })
+    rows = [(m, character_row(nu, cache)) for nu, m in mults.items()]
     for mu, value in phi.values.items():
-        resynth = sum((m * Fraction(mn_value(nu, mu, cache)) for nu, m in mults.items()), Fraction(0))
+        resynth = sum((m * row[mu] for m, row in rows), Fraction(0))
         if resynth != value:
             failures.append({
                 "lambda": format_partition(lam),
@@ -353,6 +354,8 @@ def _ordered_tuples(mu: Partition, n: int, d: int) -> list[tuple[Partition, ...]
 
 def _oracle_input(lam: Partition, mu: Partition, d: int) -> tuple[Partition, Partition, int]:
     """Checked lam and mu, and n = |lam|, for a tuple summation at the d-scaled class of mu."""
+    if d < 1:
+        raise ValueError(f"d must be positive, got {d}")
     lam = check_partition(lam)
     mu = check_partition(mu)
     n = sum(lam)

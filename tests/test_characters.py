@@ -56,6 +56,10 @@ class TestClassFunctionType:
         assert data == {"n": 3, "values": {"3": "-1", "2,1": "0", "1,1,1": "2"}}
         assert ClassFunction.from_json_dict(data).values == chi.values
 
+    def test_json_missing_field_rejected(self):
+        with pytest.raises(ValueError, match="no 'n' field"):
+            ClassFunction.from_json_dict({"values": {}})
+
 
 class TestCharacteristicMap:
     def test_ch_of_trivial_character(self):

@@ -14,6 +14,7 @@ from plethy import (
     mn_value,
     partitions_of,
 )
+from plethy.mn import character_row
 
 
 def same_size_pair(shapes):
@@ -103,6 +104,23 @@ class TestCharacterTable:
             character_table(19)
         with pytest.raises(ValueError, match="limit 4"):
             character_table(5, max_n=4)
+
+
+class TestCharacterRow:
+    def test_matches_mn_value_in_partitions_of_order(self):
+        for n in range(11):
+            for lam in partitions_of(n):
+                row = character_row(lam)
+                assert list(row) == list(partitions_of(n))
+                assert row == {mu: mn_value(lam, mu) for mu in partitions_of(n)}
+
+    def test_invalid_shape_rejected_before_evaluation(self):
+        cache = CharCache()
+        mn_value((2, 1), (1, 1, 1), cache)
+        before = len(cache)
+        with pytest.raises(PartitionError):
+            character_row((1, 2), cache)
+        assert len(cache) == before
 
 
 class TestCharCache:

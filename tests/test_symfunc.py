@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plethy import (
+    ClassFunction,
     SymFunc,
     boxplus,
+    ch,
+    check_partition,
     format_rational,
     hall_inner,
     multiply,
@@ -73,11 +76,63 @@ class TestSymFuncType:
         assert data["terms"] == {"2,1": "-7/3", "1,1,1": "4"}
         assert SymFunc.from_json_dict(data).terms == f.terms
 
+    def test_json_missing_field_rejected(self):
+        with pytest.raises(ValueError, match="no 'terms' field"):
+            SymFunc.from_json_dict({"basis": "p"})
+
     def test_rational_text(self):
         assert format_rational(Fraction(4)) == "4"
         assert format_rational(Fraction(-7, 3)) == "-7/3"
         assert parse_rational("4") == Fraction(4)
         assert parse_rational("-7/3") == Fraction(-7, 3)
+
+
+small_class_functions = st.integers(min_value=0, max_value=5).flatmap(
+    lambda n: st.dictionaries(
+        st.sampled_from(partitions_of(n)), st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    ).map(lambda values: ClassFunction.from_partial(n, values))
+)
+
+
+def assert_clean(f: SymFunc) -> None:
+    for key, coeff in f.terms.items():
+        assert type(coeff) is Fraction and coeff, (key, coeff)
+        assert type(key) is tuple and check_partition(key) == key, key
+
+
+class TestTrustedResults:
+    """Results built without the constructor's checks still hold only
+    partition keys and nonzero Fraction coefficients."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        small_symfuncs,
+        small_symfuncs,
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=6),
+        st.one_of(st.integers(min_value=-3, max_value=3), st.fractions(max_denominator=5)),
+        partitions,
+        small_class_functions,
+    )
+    def test_results_are_clean(self, f, g, d, n, scalar, lam, phi):
+        for result in (
+            multiply(f, g),
+            power_d(f, d),
+            psi_d(f, d),
+            phi_d_power(f, d),
+            schur_to_power(lam),
+            f.homogeneous_component(n),
+            f + g,
+            f - g,
+            scalar * f,
+            ch(phi),
+        ):
+            assert_clean(result)
+
+    def test_to_power_checks_caller_coefficients(self):
+        f = to_power({(2,): 0.5})
+        assert f.terms == {(2,): Fraction(1, 4), (1, 1): Fraction(1, 4)}
+        assert_clean(f)
 
 
 class TestTransitions:

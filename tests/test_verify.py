@@ -180,6 +180,12 @@ class TestHallSummation:
         with pytest.raises(ValueError, match="size mismatch"):
             hall_summation_oracle((1,), (1, 1, 1), 2)
 
+    @pytest.mark.parametrize("oracle", [hall_summation_oracle, orbit_divisibility_check])
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_nonpositive_d_rejected(self, oracle, d):
+        with pytest.raises(ValueError, match=f"d must be positive, got {d}"):
+            oracle((), (), d)
+
     def test_agrees_with_ribbon_stripping(self):
         for n in (1, 2, 3):
             for d in (2, 3):
