@@ -160,7 +160,9 @@ def boxplus_classfunction(
         values = {mu: mn_value(big, boxplus(mu, d), cache) for mu in partitions_of(n)}
     elif route == ROUTE_PLETHYSTIC:
         power = symfunc.power_d(symfunc.schur_to_power(lam, cache), d)
-        values = {mu: symfunc.hall_inner(power, SymFunc.power(union_power(mu, d))) for mu in partitions_of(n)}
+        values = {
+            mu: symfunc.hall_inner(power, SymFunc._of({union_power(mu, d): Fraction(1)})) for mu in partitions_of(n)
+        }
     else:
         raise ValueError(f"unknown route {route!r}, expected {ROUTE_DIRECT!r} or {ROUTE_PLETHYSTIC!r}")
     return ClassFunction(n, values)

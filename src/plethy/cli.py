@@ -207,7 +207,8 @@ def cmd_verify(args: argparse.Namespace, config: Config, cache: CharCache) -> in
 def cmd_cache(args: argparse.Namespace, config: Config) -> int:
     path = config.cache_path
     if args.action == "info":
-        payload = {"path": path, "exists": os.path.exists(path), "entries": len(CharCache(path))}
+        cache = _open_cache(path)
+        payload = {"path": path, "exists": os.path.exists(path), "entries": len(cache), **cache.file_stats}
     else:
         # Deleted unread, so a corrupt file cannot block its own removal.
         if os.path.exists(path):
@@ -215,6 +216,15 @@ def cmd_cache(args: argparse.Namespace, config: Config) -> int:
         payload = {"path": path, "cleared": True}
     _emit(_json_text(payload), None)
     return 0
+
+
+def _open_cache(path: str) -> CharCache:
+    """Load the cache file, with one warning on stderr if it had malformed lines."""
+    cache = CharCache(path)
+    skipped = cache.file_stats["malformed_lines"]
+    if skipped:
+        print(f"plethy: skipped {skipped} malformed line{'s' * (skipped != 1)} in {path}", file=sys.stderr)
+    return cache
 
 
 _CACHE_COMMANDS = {"table": cmd_table, "boxplus": cmd_boxplus, "verify": cmd_verify}
@@ -231,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
         path = args.config or os.environ.get("PLETHY_CONFIG")
         config = load_config(path) if path else Config()
         if args.command in _CACHE_COMMANDS:
-            cache = CharCache(config.cache_path)
+            cache = _open_cache(config.cache_path)
             code = _CACHE_COMMANDS[args.command](args, config, cache)
             cache.flush()
             return code

@@ -8,7 +8,7 @@ intermediate calls deterministic.
 
 from __future__ import annotations
 
-import itertools
+import contextlib
 import os
 
 from .abacus import decode_mask, encode_mask, mask_ribbons as remove_ribbons  # benchmarks/tracing.py wraps this name
@@ -16,6 +16,7 @@ from .partitions import Partition, check_partition, format_partition, parse_part
 
 DEFAULT_TABLE_LIMIT = 18
 _CLEAR_HINT = "; run 'plethy cache clear' to delete the cache file"
+_FILE_STATS = ("bytes", "lines", "duplicate_lines", "malformed_lines", "largest_n")
 
 
 class DegreeMismatchError(ValueError):
@@ -30,45 +31,32 @@ class CharCache:
     """Memo of character values keyed by (shape, cycle type).
 
     A pure memo: entries re-derived from scratch are always identical, so a
-    stale or deleted file never changes results, only speed.  Not locked:
-    threads that share one cache still get consistent values, but its file
-    may gain an entry twice or miss one.
+    stale, damaged or deleted file never changes results, only speed.
 
-    With a path, the file is loaded wholesale on construction and new
-    entries are appended in a single write per flush().  The format is one
-    entry per line, ``<nu parts>|<rho parts>=<decimal integer>``, e.g.
-    ``4,4|2,2,2,2=6``.  Duplicate lines must agree or loading fails.  Inside,
-    shapes are bead masks (abacus.encode_mask); get/put take partitions and
-    check them like mn_value.
+    With a path, the file is loaded wholesale on construction.  The format
+    is one entry per line, ``<nu parts>|<rho parts>=<decimal integer>``,
+    e.g. ``4,4|2,2,2,2=6``.  Loading skips malformed lines (garbage, a last
+    line without its newline, |nu| != |rho|); it fails only when two lines
+    give one pair different values.  file_stats holds the loaded file's
+    bytes, lines, duplicate_lines, malformed_lines and largest_n (the
+    largest size of a loaded entry), all 0 without a file.  flush()
+    rewrites the file as the sorted union of memory and disk through a
+    temporary file and os.replace, so its bytes do not depend on the order
+    of computation and a crash leaves the old file or the new one, never a
+    torn line.  Of two concurrent flushes the last one wins; entries only
+    the other one wrote are recomputed when next needed.  Inside, shapes
+    are bead masks (abacus.encode_mask); get/put take partitions and check
+    them like mn_value.
     """
 
     def __init__(self, path: str | os.PathLike | None = None):
         self.path = os.fspath(path) if path is not None else None
-        # Insertion-ordered: entries past the first _saved are not on disk yet.
         self._values: dict[tuple[int, Partition], int] = {}
-        self._saved = 0
-        if self.path is not None and os.path.exists(self.path):
-            self._load()
-
-    def _load(self) -> None:
-        with open(self.path, encoding="ascii") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                try:
-                    key_part, value_part = line.split("=")
-                    nu_text, rho_text = key_part.split("|")
-                    key = (encode_mask(parse_partition(nu_text)), parse_partition(rho_text))
-                    value = int(value_part)
-                except ValueError as exc:
-                    raise CacheFormatError(f"{self.path}:{lineno}: bad cache line {line!r}{_CLEAR_HINT}") from exc
-                if key in self._values and self._values[key] != value:
-                    raise CacheFormatError(
-                        f"{self.path}:{lineno}: conflicting values {self._values[key]} and {value}"
-                        f" for {line!r}{_CLEAR_HINT}"
-                    )
-                self._values[key] = value
+        self.file_stats = dict.fromkeys(_FILE_STATS, 0)
+        if self.path is not None:
+            with contextlib.suppress(FileNotFoundError):
+                self.file_stats = _read(self.path, self._values)
+        # len(_values) at the last load or flush: more means entries to write.
         self._saved = len(self._values)
 
     def get(self, nu: Partition, rho: Partition) -> int | None:
@@ -78,19 +66,39 @@ class CharCache:
         self._values.setdefault(_key(nu, rho), value)
 
     def flush(self) -> None:
-        """Append entries recorded since the last flush in one atomic write."""
-        start, self._saved = self._saved, len(self._values)
-        if self.path is None or start == self._saved:
+        """If entries were added since the last load or flush, merge in what
+        is on disk now and atomically rewrite the file, one sorted line per entry."""
+        if self.path is None or len(self._values) == self._saved:
             return
-        lines = "".join(
-            f"{format_partition(decode_mask(mask))}|{format_partition(rho)}={value}\n"
-            for (mask, rho), value in itertools.islice(self._values.items(), start, None)
-        )
-        directory = os.path.dirname(self.path)
+        with contextlib.suppress(FileNotFoundError):
+            _read(self.path, self._values)
+        nu_texts: dict[int, str] = {}
+        rho_texts: dict[Partition, str] = {}
+        lines = []
+        for (mask, rho), value in self._values.items():
+            nu_text = nu_texts.get(mask)
+            if nu_text is None:
+                nu_text = nu_texts[mask] = format_partition(decode_mask(mask))
+            rho_text = rho_texts.get(rho)
+            if rho_text is None:
+                rho_text = rho_texts[rho] = format_partition(rho)
+            lines.append(f"{nu_text}|{rho_text}={value}\n")
+        lines.sort()
+        directory, name = os.path.split(self.path)
         if directory:
             os.makedirs(directory, exist_ok=True)
-        with open(self.path, "a", encoding="ascii") as handle:
-            handle.write(lines)
+        # Beside the target, as os.replace is atomic only within one file
+        # system; mode "x" refuses an existing name and applies the umask.
+        temp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+        out = open(temp, "x", encoding="ascii")
+        try:
+            with out:
+                out.writelines(lines)
+            os.replace(temp, self.path)
+        except BaseException:
+            os.remove(temp)
+            raise
+        self._saved = len(self._values)
 
     def clear(self) -> None:
         self._values.clear()
@@ -100,6 +108,50 @@ class CharCache:
 
     def __len__(self) -> int:
         return len(self._values)
+
+
+class _Fields(dict):
+    """Field text -> (bead mask, partition, size), parsed and checked once per text."""
+
+    def __missing__(self, text: str) -> tuple[int, Partition, int]:
+        mu = parse_partition(text)
+        field = self[text] = (encode_mask(mu), mu, sum(mu))
+        return field
+
+
+def _read(path: str, values: dict[tuple[int, Partition], int]) -> dict[str, int]:
+    """Add the entries of the cache file at path to values and return the
+    file's counters (see CharCache.file_stats)."""
+    fields = _Fields()
+    lineno = duplicates = malformed = largest = 0
+    with open(path, encoding="ascii", errors="replace") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        for lineno, line in enumerate(handle, start=1):
+            try:
+                if line[-1] != "\n":
+                    raise ValueError("torn last line")
+                key_text, value_text = line.split("=")
+                nu_text, rho_text = key_text.split("|")
+                nu, rho = fields[nu_text], fields[rho_text]
+                if nu[2] != rho[2]:
+                    raise ValueError("degree mismatch")
+                value = int(value_text)
+            except ValueError:
+                malformed += not line.isspace()
+                continue
+            key = (nu[0], rho[1])
+            known = values.get(key)
+            if known is None:
+                values[key] = value
+                if nu[2] > largest:
+                    largest = nu[2]
+            elif known == value:
+                duplicates += 1
+            else:
+                raise CacheFormatError(
+                    f"{path}:{lineno}: conflicting values {known} and {value} for {line.rstrip()!r}{_CLEAR_HINT}"
+                )
+    return dict(zip(_FILE_STATS, (size, lineno, duplicates, malformed, largest)))
 
 
 _default_cache = CharCache()

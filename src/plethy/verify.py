@@ -290,7 +290,7 @@ def verify_theorem2_div(
                     "relation": f"{divisor} divides value",
                     "value": str(value),
                 })
-            pairing = symfunc.hall_inner(power, SymFunc.power(mu))
+            pairing = symfunc.hall_inner(power, SymFunc._of({mu: Fraction(1)}))
             if pairing != value:
                 failures.append({
                     "lambda": format_partition(lam),
@@ -381,7 +381,11 @@ def hall_summation_oracle(lam: Partition, mu: Partition, d: int, cache: CharCach
     mu: it needs only characters of the small symmetric group.  Empty sum
     (zero) when mu has a part larger than n.
     """
-    lam, mu, n = _oracle_input(lam, mu, d)
+    return _hall_sum(*_oracle_input(lam, mu, d), d, cache)
+
+
+def _hall_sum(lam: Partition, mu: Partition, n: int, d: int, cache: CharCache | None) -> Fraction:
+    """hall_summation_oracle on a checked lam of n and mu of d*n."""
     z_mu = centralizer_order(mu)
     total = Fraction(0)
     for tup in _ordered_tuples(mu, n, d):
@@ -404,6 +408,14 @@ def orbit_divisibility_check(
     start = time.perf_counter()
     lam, mu, n = _oracle_input(lam, mu, d)
     params = {"lambda": format_partition(lam), "mu": format_partition(mu), "d": d}
+    orbits, failures = _orbit_failures(lam, mu, n, d, cache)
+    elapsed_ms = int((time.perf_counter() - start) * 1000)
+    return VerificationReport(HALL_ORACLE, params, orbits, failures, elapsed_ms)
+
+
+def _orbit_failures(lam: Partition, mu: Partition, n: int, d: int, cache: CharCache | None) -> tuple[int, list]:
+    """The number of orbits and the failures of orbit_divisibility_check on a
+    checked lam of n and mu of d*n."""
     z_mu = centralizer_order(mu)
     orbits: dict[tuple[Partition, ...], list[tuple[Partition, ...]]] = {}
     for tup in _ordered_tuples(mu, n, d):
@@ -438,8 +450,7 @@ def orbit_divisibility_check(
                 "relation": f"orbit contribution divisible by {math.factorial(d)}",
                 "contribution": symfunc.format_rational(contribution),
             })
-    elapsed_ms = int((time.perf_counter() - start) * 1000)
-    return VerificationReport(HALL_ORACLE, params, len(orbits), failures, elapsed_ms)
+    return len(orbits), failures
 
 
 def verify_hall_oracle(
@@ -459,7 +470,7 @@ def verify_hall_oracle(
         failures = []
         big = boxplus(lam, d)
         for mu in mus:
-            oracle = hall_summation_oracle(lam, mu, d, cache)
+            oracle = _hall_sum(lam, mu, n, d, cache)
             stripped = mn_value(big, scale(mu, d), cache)
             if oracle != stripped:
                 failures.append({
@@ -469,10 +480,9 @@ def verify_hall_oracle(
                     "summation": symfunc.format_rational(oracle),
                     "stripping": str(stripped),
                 })
-            orbit_report = orbit_divisibility_check(lam, mu, d, cache)
             failures.extend(
                 dict(failure, **{"lambda": format_partition(lam), "mu": format_partition(mu)})
-                for failure in orbit_report.failures
+                for failure in _orbit_failures(lam, mu, n, d, cache)[1]
             )
         return len(mus), failures
 

@@ -377,35 +377,132 @@ class TestCacheCommand:
         write_config(cfg, cache_path=str(cache_path))
         assert run_cli(capsys, "--config", str(cfg), "table", "4")[0] == 0
         code, out, err = run_cli(capsys, "--config", str(cfg), "cache", "info")
-        assert code == 0
+        assert code == 0 and err == ""
         info = json.loads(out)
         assert info["path"] == str(cache_path)
         assert info["exists"] is True and info["entries"] > 0
+        assert info["bytes"] == cache_path.stat().st_size
+        assert info["lines"] == info["entries"] == len(cache_path.read_text().splitlines())
+        assert info["duplicate_lines"] == info["malformed_lines"] == 0
+        assert info["largest_n"] == 4
         code, out, err = run_cli(capsys, "--config", str(cfg), "cache", "clear")
         assert code == 0 and json.loads(out)["cleared"] is True
         info = json.loads(run_cli(capsys, "--config", str(cfg), "cache", "info")[1])
-        assert info["exists"] is False and info["entries"] == 0
+        assert info == {
+            "path": str(cache_path),
+            "exists": False,
+            "entries": 0,
+            "bytes": 0,
+            "lines": 0,
+            "duplicate_lines": 0,
+            "malformed_lines": 0,
+            "largest_n": 0,
+        }
+
+    def test_info_counts_duplicate_and_malformed_lines(self, capsys, tmp_path):
+        cfg = tmp_path / "plethy.cfg"
+        cache_path = tmp_path / "mn.txt"
+        write_config(cfg, cache_path=str(cache_path))
+        cache_path.write_text("2|1,1=1\n2|1,1=1\n3|2=5\n2,1|2,1=-1\ngarbage\n")
+        code, out, err = run_cli(capsys, "--config", str(cfg), "cache", "info")
+        assert code == 0
+        assert err == f"plethy: skipped 2 malformed lines in {cache_path}\n"
+        info = json.loads(out)
+        assert (info["entries"], info["lines"], info["duplicate_lines"], info["malformed_lines"]) == (2, 5, 1, 2)
+        assert info["largest_n"] == 3
 
     def test_torn_cache_file(self, capsys, tmp_path):
         cfg = tmp_path / "plethy.cfg"
         cache_path = tmp_path / "mn.txt"
         write_config(cfg, cache_path=str(cache_path))
+        clean = run_cli(capsys, "table", "3")[1]
         assert run_cli(capsys, "--config", str(cfg), "table", "4")[0] == 0
         with open(cache_path, "a", encoding="ascii") as handle:
             handle.write("4,4|2,2")
         code, out, err = run_cli(capsys, "--config", str(cfg), "table", "3")
-        assert code == 2
-        assert "bad cache line '4,4|2,2'" in err and "plethy cache clear" in err
+        assert code == 0 and out == clean
+        assert err == f"plethy: skipped 1 malformed line in {cache_path}\n"
+        # That run added entries, so its flush rewrote the file without the torn line.
+        assert not cache_path.read_text().endswith("4,4|2,2")
+        assert run_cli(capsys, "--config", str(cfg), "table", "3")[2] == ""
+        with open(cache_path, "a", encoding="ascii") as handle:
+            handle.write("4,4|2,2")
         code, out, err = run_cli(capsys, "--config", str(cfg), "cache", "clear")
         assert code == 0 and err == "" and json.loads(out)["cleared"] is True
         assert not cache_path.exists()
         assert run_cli(capsys, "--config", str(cfg), "table", "3")[0] == 0
 
+    @pytest.mark.parametrize("line", ["garbage\n", "3|2=5\n"])
+    def test_malformed_line_is_skipped_with_a_warning(self, capsys, tmp_path, line):
+        cfg = tmp_path / "plethy.cfg"
+        cache_path = tmp_path / "mn.txt"
+        write_config(cfg, cache_path=str(cache_path))
+        clean = run_cli(capsys, "table", "3")[1]
+        cache_path.write_text(line)
+        code, out, err = run_cli(capsys, "--config", str(cfg), "table", "3")
+        assert (code, out) == (0, clean)
+        assert err == f"plethy: skipped 1 malformed line in {cache_path}\n"
+
+    def test_conflicting_line_is_fatal(self, capsys, tmp_path):
+        cfg = tmp_path / "plethy.cfg"
+        cache_path = tmp_path / "mn.txt"
+        write_config(cfg, cache_path=str(cache_path))
+        cache_path.write_text("2,1|2,1=-1\n2,1|2,1=1\n")
+        code, out, err = run_cli(capsys, "--config", str(cfg), "table", "3")
+        assert code == 2 and out == ""
+        assert "conflicting values -1 and 1" in err and "plethy cache clear" in err
+        assert run_cli(capsys, "--config", str(cfg), "cache", "clear")[0] == 0
+        assert run_cli(capsys, "--config", str(cfg), "table", "3")[0] == 0
+
+    def test_command_that_adds_nothing_leaves_the_file_alone(self, capsys, tmp_path):
+        cfg = tmp_path / "plethy.cfg"
+        cache_path = tmp_path / "mn.txt"
+        write_config(cfg, cache_path=str(cache_path))
+        assert run_cli(capsys, "--config", str(cfg), "table", "5")[0] == 0
+        # Unsorted and with a duplicate line: only a flush that adds entries rewrites it.
+        lines = cache_path.read_text().splitlines(keepends=True)
+        cache_path.write_text("".join(lines[::-1] + lines[:1]))
+        before, stamp = cache_path.read_bytes(), cache_path.stat().st_mtime_ns
+        assert run_cli(capsys, "--config", str(cfg), "table", "5")[0] == 0
+        assert run_cli(capsys, "--config", str(cfg), "cache", "info")[0] == 0
+        assert cache_path.read_bytes() == before and cache_path.stat().st_mtime_ns == stamp
+
+    def test_concurrent_writers_leave_one_clean_file(self, tmp_path):
+        cfg = tmp_path / "plethy.cfg"
+        cache_path = tmp_path / "mn.txt"
+        write_config(cfg, cache_path=str(cache_path))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(plethy.__file__)))
+        commands = [
+            ("table", "7"),
+            ("table", "8"),
+            ("boxplus", "2,1", "--d", "2", "--route", "both"),
+            ("verify", "thm1", "--n", "3", "--d", "2"),
+        ]
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "plethy.cli", "--config", str(cfg), *argv],
+                env=env,
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for argv in commands
+        ]
+        for proc in procs:
+            _, err = proc.communicate(timeout=120)
+            assert (proc.returncode, err) == (0, "")
+        lines = cache_path.read_text().splitlines()
+        assert lines == sorted(set(lines))
+        cache = CharCache(str(cache_path))
+        assert cache.file_stats["duplicate_lines"] == cache.file_stats["malformed_lines"] == 0
+        assert len(cache) == len(lines) > 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mn.txt", "plethy.cfg"]
+
 
 VERIFY_ALL_SHA256 = "e619eef16c8de42c8f47d0066965e675b9350cf83cf9982de85e8e2267cedf47"
 # The cache file that `verify all` then `table 8` write to a fresh path:
-# entries in the order they were first computed, one line each.
-VERIFY_ALL_TABLE_8_CACHE_SHA256 = "fcf647c6d0ca8c9ebc102ec7128c4fbf564434e5bf26b8249a9e3dcf04d2202d"
+# one line per entry, sorted as strings.
+VERIFY_ALL_TABLE_8_CACHE_SHA256 = "46aca8524d7a8e11af7d990babd9fc83883e9df65fdfcc41a5f38caf754b4715"
 VERIFY_ALL_TABLE_8_CACHE_ENTRIES = 6024
 
 
@@ -461,3 +558,14 @@ class TestDeterminism:
         assert run_cli(capsys, "--config", str(cfg), "table", "8")[0] == 0
         assert hashlib.sha256(cache_path.read_bytes()).hexdigest() == VERIFY_ALL_TABLE_8_CACHE_SHA256
         assert len(CharCache(str(cache_path))) == VERIFY_ALL_TABLE_8_CACHE_ENTRIES
+
+    def test_cache_file_bytes_do_not_depend_on_command_order(self, capsys, tmp_path):
+        files = []
+        for name, order in (("first", ("verify all", "table 8")), ("second", ("table 8", "verify all"))):
+            cfg = tmp_path / f"{name}.cfg"
+            cache_path = tmp_path / f"{name}.txt"
+            write_config(cfg, cache_path=str(cache_path))
+            for command in order:
+                assert run_cli(capsys, "--config", str(cfg), *command.split())[0] == 0
+            files.append(cache_path.read_bytes())
+        assert files[0] == files[1]

@@ -1,3 +1,4 @@
+import os
 import threading
 
 import pytest
@@ -14,6 +15,7 @@ from plethy import (
     mn_value,
     partitions_of,
 )
+from plethy.abacus import encode_mask
 from plethy.mn import character_row
 
 
@@ -160,32 +162,108 @@ class TestCharCache:
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "cache.txt"
-        path.write_text("not a cache line\n")
-        with pytest.raises(CacheFormatError):
-            CharCache(path)
+        path.write_text("not a cache line\n4,4|2,2,2,2=6\n")
+        cache = CharCache(path)
+        assert len(cache) == 1 and cache.get((4, 4), (2, 2, 2, 2)) == 6
+        assert cache.file_stats["malformed_lines"] == 1
 
-    def test_flush_appends_only_new_entries(self, tmp_path):
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "garbage\n",
+            "4,4|2,2,2,2\n",  # no value
+            "4,4|2,2,2,2=six\n",
+            "4,4=6\n",  # no cycle type
+            "4,4|2,2|2,2=6\n",
+            "1,2|3=1\n",  # not a partition
+            "3|2=5\n",  # |nu| != |rho|
+            "\xe9|1=1\n",  # not ASCII
+            "3,3|3,3=-",  # torn: no newline
+            "3,3|3,3=1",  # torn, though its text parses
+        ],
+    )
+    def test_each_malformed_line_is_skipped_and_counted(self, tmp_path, line):
+        path = tmp_path / "cache.txt"
+        path.write_text("4,4|2,2,2,2=6\n\n" + line, encoding="latin-1")
+        cache = CharCache(path)
+        assert cache._values == {(encode_mask((4, 4)), (2, 2, 2, 2)): 6}
+        assert cache.file_stats == {
+            "bytes": path.stat().st_size,
+            "lines": 3,
+            "duplicate_lines": 0,
+            "malformed_lines": 1,
+            "largest_n": 8,
+        }
+
+    def test_loaded_fields_are_checked_once_and_shared(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        path.write_text("2,1|2,1=-1\n2,1|1,1,1=2\n1,1,1|2,1=1\n")
+        keys = list(CharCache(path)._values)
+        assert keys[0][1] is keys[2][1]
+        assert keys[0][0] == keys[1][0] == encode_mask((2, 1))
+
+    def test_flush_writes_sorted_union(self, tmp_path):
         path = tmp_path / "cache.txt"
         cache = CharCache(path)
-        mn_value((2, 2), (2, 2), cache)
-        cache.flush()
-        first = path.read_text()
-        cache.flush()
-        assert path.read_text() == first
         mn_value((3, 3), (3, 3), cache)
         cache.flush()
-        assert path.read_text().startswith(first)
-        assert len(path.read_text()) > len(first)
+        first = path.read_text()
+        stamp = path.stat().st_mtime_ns
+        cache.flush()
+        assert path.read_text() == first and path.stat().st_mtime_ns == stamp
+        mn_value((2, 2), (2, 2), cache)
+        cache.flush()
+        lines = path.read_text().splitlines()
+        assert set(first.splitlines()) < set(lines)
+        assert lines == sorted(set(lines))
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.txt"]
 
-    def test_flush_after_load_appends_only_new_entries(self, tmp_path):
+    def test_flush_after_load_writes_sorted_union(self, tmp_path):
         path = tmp_path / "cache.txt"
-        path.write_text("4,4|2,2,2,2=6\n4,4|2,2,2,2=6\n")
+        path.write_text("4,4|2,2,2,2=6\n4,4|2,2,2,2=6\ntorn|")
         cache = CharCache(path)
         cache.put((4, 4), (2, 2, 2, 2), 6)
+        cache.flush()
+        assert path.read_text() == "4,4|2,2,2,2=6\n4,4|2,2,2,2=6\ntorn|"
         cache.put((2,), (1, 1), 1)
         cache.put((1, 1), (1, 1), 1)
         cache.flush()
-        assert path.read_text() == "4,4|2,2,2,2=6\n4,4|2,2,2,2=6\n2|1,1=1\n1,1|1,1=1\n"
+        assert path.read_text() == "1,1|1,1=1\n2|1,1=1\n4,4|2,2,2,2=6\n"
+
+    def test_flush_merges_what_another_writer_saved(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        mine, theirs = CharCache(path), CharCache(path)
+        mine.put((2,), (2,), 1)
+        theirs.put((1, 1), (2,), -1)
+        theirs.flush()
+        mine.flush()
+        assert path.read_text() == "1,1|2=-1\n2|2=1\n"
+        assert len(mine) == 2
+
+    def test_flush_keeps_conflicts_fatal(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        cache = CharCache(path)
+        cache.put((2,), (2,), 1)
+        path.write_text("2|2=5\n")
+        with pytest.raises(CacheFormatError, match="conflicting values 1 and 5.*plethy cache clear"):
+            cache.flush()
+        assert path.read_text() == "2|2=5\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.txt"]
+
+    def test_failed_flush_keeps_the_old_file_and_leaves_no_temporary(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.txt"
+        path.write_text("2|2=1\n")
+        cache = CharCache(path)
+        cache.put((1, 1), (2,), -1)
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            cache.flush()
+        assert path.read_text() == "2|2=1\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.txt"]
 
     @pytest.mark.parametrize(
         "method, args, error",
