@@ -2,14 +2,15 @@
 
 The recursion always strips a ribbon whose length is the largest remaining
 part of the cycle type.  Any fixed part order yields the same value;
-largest-first shrinks the recursion tree fastest and keeps the cache keys of
-intermediate calls deterministic.
+largest-first shrinks the recursion tree fastest, and makes intermediate cycle
+types suffixes of the one asked for, each with one memo table {bead mask: value}.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+from collections import defaultdict
 
 from .abacus import decode_mask, encode_mask, mask_ribbons as remove_ribbons  # benchmarks/tracing.py wraps this name
 from .partitions import Partition, check_partition, format_partition, parse_partition, partitions_of
@@ -28,7 +29,7 @@ class CacheFormatError(ValueError):
 
 
 class CharCache:
-    """Memo of character values keyed by (shape, cycle type).
+    """Memo of character values: one table {bead mask of shape: value} per cycle type.
 
     A pure memo: entries re-derived from scratch are always identical, so a
     stale, damaged or deleted file never changes results, only speed.
@@ -51,38 +52,38 @@ class CharCache:
 
     def __init__(self, path: str | os.PathLike | None = None):
         self.path = os.fspath(path) if path is not None else None
-        self._values: dict[tuple[int, Partition], int] = {}
+        self._values: defaultdict[Partition, dict[int, int]] = defaultdict(dict)
         self.file_stats = dict.fromkeys(_FILE_STATS, 0)
         if self.path is not None:
             with contextlib.suppress(FileNotFoundError):
                 self.file_stats = _read(self.path, self._values)
-        # len(_values) at the last load or flush: more means entries to write.
-        self._saved = len(self._values)
+        # len(self) at the last load or flush: more means entries to write.
+        self._saved = len(self)
 
     def get(self, nu: Partition, rho: Partition) -> int | None:
-        return self._values.get(_key(nu, rho))
+        mask, rho = _key(nu, rho)
+        return self._values.get(rho, {}).get(mask)
 
     def put(self, nu: Partition, rho: Partition, value: int) -> None:
-        self._values.setdefault(_key(nu, rho), value)
+        mask, rho = _key(nu, rho)
+        self._values[rho].setdefault(mask, value)
 
     def flush(self) -> None:
         """If entries were added since the last load or flush, merge in what
         is on disk now and atomically rewrite the file, one sorted line per entry."""
-        if self.path is None or len(self._values) == self._saved:
+        if self.path is None or len(self) == self._saved:
             return
         with contextlib.suppress(FileNotFoundError):
             _read(self.path, self._values)
         nu_texts: dict[int, str] = {}
-        rho_texts: dict[Partition, str] = {}
         lines = []
-        for (mask, rho), value in self._values.items():
-            nu_text = nu_texts.get(mask)
-            if nu_text is None:
-                nu_text = nu_texts[mask] = format_partition(decode_mask(mask))
-            rho_text = rho_texts.get(rho)
-            if rho_text is None:
-                rho_text = rho_texts[rho] = format_partition(rho)
-            lines.append(f"{nu_text}|{rho_text}={value}\n")
+        for rho, table in self._values.items():
+            rho_text = format_partition(rho)
+            for mask, value in table.items():
+                nu_text = nu_texts.get(mask)
+                if nu_text is None:
+                    nu_text = nu_texts[mask] = format_partition(decode_mask(mask))
+                lines.append(f"{nu_text}|{rho_text}={value}\n")
         lines.sort()
         directory, name = os.path.split(self.path)
         if directory:
@@ -98,7 +99,7 @@ class CharCache:
         except BaseException:
             os.remove(temp)
             raise
-        self._saved = len(self._values)
+        self._saved = len(self)
 
     def clear(self) -> None:
         self._values.clear()
@@ -107,7 +108,7 @@ class CharCache:
             os.remove(self.path)
 
     def __len__(self) -> int:
-        return len(self._values)
+        return sum(map(len, self._values.values()))
 
 
 class _Fields(dict):
@@ -119,7 +120,7 @@ class _Fields(dict):
         return field
 
 
-def _read(path: str, values: dict[tuple[int, Partition], int]) -> dict[str, int]:
+def _read(path: str, values: defaultdict[Partition, dict[int, int]]) -> dict[str, int]:
     """Add the entries of the cache file at path to values and return the
     file's counters (see CharCache.file_stats)."""
     fields = _Fields()
@@ -139,10 +140,10 @@ def _read(path: str, values: dict[tuple[int, Partition], int]) -> dict[str, int]
             except ValueError:
                 malformed += not line.isspace()
                 continue
-            key = (nu[0], rho[1])
-            known = values.get(key)
+            table = values[rho[1]]
+            known = table.get(nu[0])
             if known is None:
-                values[key] = value
+                table[nu[0]] = value
                 if nu[2] > largest:
                     largest = nu[2]
             elif known == value:
@@ -187,18 +188,31 @@ def character_row(lam: Partition, cache: CharCache | None = None) -> dict[Partit
     return {mu: _mn(mask, mu, values) for mu in partitions_of(sum(lam))}
 
 
-def _mn(mask: int, rho: Partition, values: dict[tuple[int, Partition], int]) -> int:
+def _mn(mask: int, rho: Partition, values: defaultdict[Partition, dict[int, int]]) -> int:
     if not mask:
         return 1
-    known = values.get((mask, rho))
+    table = values[rho]
+    known = table.get(mask)
     if known is not None:
         return known
-    rest = rho[1:]
+    return _miss(mask, rho, 0, [table], values)
+
+
+def _miss(mask: int, rho: Partition, depth: int, tables: list[dict[int, int]], values) -> int:
+    """Value of the mask at rho[depth:], missing from tables[depth] (the table
+    of rho[depth:]); stores it there.  The first miss this deep fetches the
+    next suffix's table, a private {empty shape: 1} for the empty suffix."""
     value = 0
-    for smaller, height in remove_ribbons(mask, rho[0]):
-        term = _mn(smaller, rest, values)
+    below = depth + 1
+    if below == len(tables):
+        tables.append(values[rho[below:]] if below < len(rho) else {0: 1})
+    table = tables[below]
+    for smaller, height in remove_ribbons(mask, rho[depth]):
+        term = table.get(smaller)
+        if term is None:
+            term = _miss(smaller, rho, below, tables, values)
         value += -term if height & 1 else term
-    values[mask, rho] = value
+    tables[depth][mask] = value
     return value
 
 

@@ -223,7 +223,7 @@ def phi_d_littlewood(nu: Partition, d: int, cache: mn.CharCache | None = None) -
     sign = d_sign(nu, d)
     if sign is None:
         return SymFunc()
-    result = SymFunc.power(EMPTY, sign)
+    result = SymFunc._of({EMPTY: Fraction(sign)})
     for component in d_quotient(nu, d):
         result = multiply(result, schur_to_power(component, cache))
     return result

@@ -1,4 +1,5 @@
 import os
+import random
 import threading
 
 import pytest
@@ -17,6 +18,7 @@ from plethy import (
 )
 from plethy.abacus import encode_mask
 from plethy.mn import character_row
+from plethy.verify import verify_theorem1
 
 
 def same_size_pair(shapes):
@@ -54,6 +56,15 @@ class TestMnValue:
     def test_matches_partition_kernel(self, pair):
         lam, mu = pair
         assert mn_value(lam, mu, CharCache()) == oracles.partition_mn(lam, mu)
+
+    def test_shared_memo_matches_partition_kernel(self):
+        # One memo across sizes and cycle types, so suffix tables filled by
+        # one pair are read by others.
+        pairs = [(lam, mu) for n in range(10) for lam in partitions_of(n) for mu in partitions_of(n)]
+        random.Random(2022).shuffle(pairs)
+        cache, memo = CharCache(), {}
+        for lam, mu in pairs:
+            assert mn_value(lam, mu, cache) == oracles.partition_mn(lam, mu, memo), (lam, mu)
 
     def test_dimensions_match_tableau_counts(self):
         for n in range(1, 6):
@@ -186,7 +197,8 @@ class TestCharCache:
         path = tmp_path / "cache.txt"
         path.write_text("4,4|2,2,2,2=6\n\n" + line, encoding="latin-1")
         cache = CharCache(path)
-        assert cache._values == {(encode_mask((4, 4)), (2, 2, 2, 2)): 6}
+        assert len(cache) == 1
+        assert cache.get((4, 4), (2, 2, 2, 2)) == 6
         assert cache.file_stats == {
             "bytes": path.stat().st_size,
             "lines": 3,
@@ -198,9 +210,10 @@ class TestCharCache:
     def test_loaded_fields_are_checked_once_and_shared(self, tmp_path):
         path = tmp_path / "cache.txt"
         path.write_text("2,1|2,1=-1\n2,1|1,1,1=2\n1,1,1|2,1=1\n")
-        keys = list(CharCache(path)._values)
-        assert keys[0][1] is keys[2][1]
-        assert keys[0][0] == keys[1][0] == encode_mask((2, 1))
+        tables = CharCache(path)._values
+        assert list(tables) == [(2, 1), (1, 1, 1)]
+        assert tables[2, 1] == {encode_mask((2, 1)): -1, encode_mask((1, 1, 1)): 1}
+        assert tables[1, 1, 1] == {encode_mask((2, 1)): 2}
 
     def test_flush_writes_sorted_union(self, tmp_path):
         path = tmp_path / "cache.txt"
@@ -217,6 +230,26 @@ class TestCharCache:
         assert set(first.splitlines()) < set(lines)
         assert lines == sorted(set(lines))
         assert [p.name for p in tmp_path.iterdir()] == ["cache.txt"]
+
+    def test_flush_does_not_depend_on_evaluation_order(self, tmp_path):
+        pairs = [(lam, mu) for n in range(9) for lam in partitions_of(n) for mu in partitions_of(n)]
+        random.Random(7).shuffle(pairs)
+        forward, backward = CharCache(tmp_path / "forward.txt"), CharCache(tmp_path / "backward.txt")
+        for lam, mu in pairs:
+            mn_value(lam, mu, forward)
+        for lam, mu in reversed(pairs):
+            mn_value(lam, mu, backward)
+        forward.flush()
+        backward.flush()
+        assert len(forward) == len(backward)
+        assert (tmp_path / "forward.txt").read_bytes() == (tmp_path / "backward.txt").read_bytes()
+
+    def test_theorem1_benchmark_grid_state_count(self):
+        # The memo states of the thm1-cold benchmark workload.
+        cache = CharCache()
+        for n, d in ((5, 4), (6, 3)):
+            assert verify_theorem1(n, d, 6, 4, cache).status == "PASS"
+        assert len(cache) == 40058
 
     def test_flush_after_load_writes_sorted_union(self, tmp_path):
         path = tmp_path / "cache.txt"
