@@ -172,7 +172,5 @@ def scaled_classfunction(lam: Partition, d: int, cache: CharCache | None = None)
     """The level-n class function whose value at mu is the character of
     shape d*lam at the class d*mu."""
     lam = check_partition(lam)
-    if d < 1:
-        raise ValueError(f"scale factor must be positive, got {d}")
     n, big = sum(lam), scale(lam, d)
     return ClassFunction(n, {mu: mn_value(big, scale(mu, d), cache) for mu in partitions_of(n)})

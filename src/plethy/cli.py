@@ -157,7 +157,7 @@ def cmd_boxplus(args: argparse.Namespace, config: Config, cache: CharCache) -> i
     return 0
 
 
-def cmd_quotient(args: argparse.Namespace, config: Config) -> int:
+def cmd_quotient(args: argparse.Namespace) -> int:
     nu = parse_partition(args.nu)
     # No d-ribbon fits in nu when d > |nu|.
     verify_mod.check_limit("--d", args.d, max(sum(nu), 1))
@@ -246,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
             cache.flush()
             return code
         if args.command == "quotient":
-            return cmd_quotient(args, config)
+            return cmd_quotient(args)
         if args.command == "cache":
             return cmd_cache(args, config)
         _emit(config.to_text(), None)

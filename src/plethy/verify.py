@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
@@ -364,34 +365,17 @@ def _oracle_input(lam: Partition, mu: Partition, d: int) -> tuple[Partition, Par
     return lam, mu, n
 
 
-def _tuple_term(
-    lam: Partition, tup: tuple[Partition, ...], z_mu: int, cache: CharCache | None
-) -> tuple[Fraction, int]:
-    """The centralizer ratio z_mu / prod z_piece and the product of the small
-    character values of lam over the pieces of tup."""
-    ratio = Fraction(z_mu, math.prod(centralizer_order(piece) for piece in tup))
-    return ratio, math.prod(mn_value(lam, piece, cache) for piece in tup)
-
-
 def hall_summation_oracle(lam: Partition, mu: Partition, d: int, cache: CharCache | None = None) -> Fraction:
     """Sum over ordered d-tuples of partitions of n with multiset union mu of
-    the centralizer ratio times the product of small character values.
+    the centralizer ratio times the product of small character values,
+    accumulated orbit by orbit under rearrangement of the tuples.
 
     Independent route to the subdivided character at the d-scaled class of
     mu: it needs only characters of the small symmetric group.  Empty sum
     (zero) when mu has a part larger than n.
     """
-    return _hall_sum(*_oracle_input(lam, mu, d), d, cache)
-
-
-def _hall_sum(lam: Partition, mu: Partition, n: int, d: int, cache: CharCache | None) -> Fraction:
-    """hall_summation_oracle on a checked lam of n and mu of d*n."""
-    z_mu = centralizer_order(mu)
-    total = Fraction(0)
-    for tup in _ordered_tuples(mu, n, d):
-        ratio, value = _tuple_term(lam, tup, z_mu, cache)
-        total += ratio * value
-    return total
+    lam, mu, n = _oracle_input(lam, mu, d)
+    return _oracle(character_row(lam, cache), mu, n, d)[0]
 
 
 def orbit_divisibility_check(
@@ -408,34 +392,37 @@ def orbit_divisibility_check(
     start = time.perf_counter()
     lam, mu, n = _oracle_input(lam, mu, d)
     params = {"lambda": format_partition(lam), "mu": format_partition(mu), "d": d}
-    orbits, failures = _orbit_failures(lam, mu, n, d, cache)
+    _, orbits, failures = _oracle(character_row(lam, cache), mu, n, d)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     return VerificationReport(HALL_ORACLE, params, orbits, failures, elapsed_ms)
 
 
-def _orbit_failures(lam: Partition, mu: Partition, n: int, d: int, cache: CharCache | None) -> tuple[int, list]:
-    """The number of orbits and the failures of orbit_divisibility_check on a
-    checked lam of n and mu of d*n."""
+def _oracle(row: dict[Partition, int], mu: Partition, n: int, d: int) -> tuple[Fraction, int, list]:
+    """The tuple sum of hall_summation_oracle, the number of orbits and the
+    failures of orbit_divisibility_check, from one walk over the ordered
+    tuples, for the character row of a lam of n and a checked mu of d*n.
+
+    The sum weights each orbit by its walked size, not the multinomial, so
+    the orbit-size check stays independent of it.
+    """
     z_mu = centralizer_order(mu)
-    orbits: dict[tuple[Partition, ...], list[tuple[Partition, ...]]] = {}
-    for tup in _ordered_tuples(mu, n, d):
-        rep = tuple(sorted(tup, key=sort_key))
-        orbits.setdefault(rep, []).append(tup)
+    sizes = Counter(tuple(sorted(tup, key=sort_key)) for tup in _ordered_tuples(mu, n, d))
+    total = Fraction(0)
     failures = []
-    for rep in sorted(orbits, key=lambda r: tuple(sort_key(piece) for piece in r)):
-        members = orbits[rep]
+    for rep in sorted(sizes, key=lambda r: tuple(sort_key(piece) for piece in r)):
+        size = sizes[rep]
         sigma = multiplicity_pattern(rep)
         sigma_factorial = math.prod(math.factorial(s) for s in sigma)
         expected_size = math.factorial(d) // sigma_factorial
         rep_text = [format_partition(piece) for piece in rep]
-        if len(members) != expected_size:
+        if size != expected_size:
             failures.append({
                 "orbit": rep_text,
                 "relation": "orbit size = multinomial of sigma",
-                "size": len(members),
+                "size": size,
                 "expected": expected_size,
             })
-        ratio, value = _tuple_term(lam, rep, z_mu, cache)
+        ratio = Fraction(z_mu, math.prod(centralizer_order(piece) for piece in rep))
         if ratio.denominator != 1 or ratio % sigma_factorial != 0:
             failures.append({
                 "orbit": rep_text,
@@ -443,14 +430,15 @@ def _orbit_failures(lam: Partition, mu: Partition, n: int, d: int, cache: CharCa
                 "ratio": symfunc.format_rational(ratio),
                 "sigma": format_partition(sigma),
             })
-        contribution = len(members) * ratio * value
+        contribution = size * ratio * math.prod(row[piece] for piece in rep)
+        total += contribution
         if contribution.denominator != 1 or contribution % math.factorial(d) != 0:
             failures.append({
                 "orbit": rep_text,
                 "relation": f"orbit contribution divisible by {math.factorial(d)}",
                 "contribution": symfunc.format_rational(contribution),
             })
-    return len(orbits), failures
+    return total, len(sizes), failures
 
 
 def verify_hall_oracle(
@@ -469,8 +457,9 @@ def verify_hall_oracle(
     def check(lam: Partition) -> tuple[int, list]:
         failures = []
         big = boxplus(lam, d)
+        row = character_row(lam, cache)
         for mu in mus:
-            oracle = _hall_sum(lam, mu, n, d, cache)
+            oracle, _, orbit_failures = _oracle(row, mu, n, d)
             stripped = mn_value(big, scale(mu, d), cache)
             if oracle != stripped:
                 failures.append({
@@ -482,7 +471,7 @@ def verify_hall_oracle(
                 })
             failures.extend(
                 dict(failure, **{"lambda": format_partition(lam), "mu": format_partition(mu)})
-                for failure in _orbit_failures(lam, mu, n, d, cache)[1]
+                for failure in orbit_failures
             )
         return len(mus), failures
 

@@ -221,6 +221,11 @@ class TestScaledClassFunction:
         for lam in partitions_of(4):
             assert scaled_classfunction(lam, 1).values == irreducible_character(lam).values
 
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_nonpositive_d_rejected(self, d):
+        with pytest.raises(ValueError, match=f"scale factor must be positive, got {d}"):
+            scaled_classfunction((2, 1), d)
+
     def test_single_box(self):
         assert scaled_classfunction((1,), 2).values == {(1,): Fraction(1)}
 

@@ -257,6 +257,18 @@ class TestHallOracleSweep:
                 assert report.status == "PASS", (n, d, report.failures)
                 assert report.cases_checked == len(partitions_of(n)) * len(partitions_of(d * n))
 
+    def test_one_tuple_walk_per_pair(self, monkeypatch):
+        # The recursion calls itself with d - 1, so only d = 2 calls are walks.
+        walks = []
+
+        def counting(mu, n, d, _walk=_ordered_tuples):
+            walks.append(d)
+            return _walk(mu, n, d)
+
+        monkeypatch.setattr(verify_mod, "_ordered_tuples", counting)
+        assert verify_hall_oracle(2, 2).status == "PASS"
+        assert walks.count(2) == len(partitions_of(2)) * len(partitions_of(4))
+
     def test_limits(self):
         with pytest.raises(ValueError, match="n = 4 exceeds the limit 3"):
             verify_hall_oracle(4, 2)
