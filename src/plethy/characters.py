@@ -3,9 +3,10 @@
 A class function of level n stores one rational per cycle type, i.e. a total
 map over partitions_of(n).  The characteristic map sends it to the symmetric
 function sum over mu of value(mu)/z_mu * p_mu (the group-element sum
-collapsed class by class), and is inverted by pairing with power sums.  It
-exchanges the induction product with multiplication, which is how the
-induction product is computed here.
+collapsed class by class), and is inverted by pairing with power sums.  A
+SymFunc stores exactly these values (its class values F_mu = z_mu * [p_mu]f),
+so both maps are relabelings.  The map exchanges the induction product with
+multiplication, which is how the induction product is computed here.
 
 Genuine characters have integer values; that is asserted where needed, never
 assumed by the types.
@@ -30,7 +31,7 @@ from .partitions import (
     scale,
     union_power,
 )
-from .symfunc import SymFunc
+from .symfunc import SymFunc, _exact
 
 ROUTE_DIRECT = "direct"
 ROUTE_PLETHYSTIC = "plethystic"
@@ -109,15 +110,17 @@ def irreducible_character(lam: Partition, cache: CharCache | None = None) -> Cla
 
 
 def ch(phi: ClassFunction) -> SymFunc:
-    """Characteristic map: sum of value(mu)/z_mu * p_mu over cycle types."""
-    return SymFunc._of({mu: value / centralizer_order(mu) for mu, value in phi.values.items()})
+    """Characteristic map: sum of value(mu)/z_mu * p_mu over cycle types,
+    whose class values are the values of phi."""
+    return SymFunc._of({mu: _exact(value) for mu, value in phi.values.items()})
 
 
 def ch_inverse(f: SymFunc, n: int) -> ClassFunction:
-    """Inverse characteristic map; the value at mu is the pairing with p_mu."""
-    if any(sum(key) != n for key in f.terms):
+    """Inverse characteristic map; the value at mu is the pairing with p_mu,
+    the class value F_mu."""
+    if any(sum(key) != n for key in f.values):
         raise ValueError(f"not homogeneous of degree {n}: degrees {f.degrees()}")
-    return ClassFunction(n, {mu: f.terms.get(mu, 0) * centralizer_order(mu) for mu in partitions_of(n)})
+    return ClassFunction(n, {mu: f.values.get(mu, 0) for mu in partitions_of(n)})
 
 
 def induction_product(phi: ClassFunction, psi: ClassFunction) -> ClassFunction:
@@ -160,9 +163,10 @@ def boxplus_classfunction(
         values = {mu: mn_value(big, boxplus(mu, d), cache) for mu in partitions_of(n)}
     elif route == ROUTE_PLETHYSTIC:
         power = symfunc.power_d(symfunc.schur_to_power(lam, cache), d)
-        values = {
-            mu: symfunc.hall_inner(power, SymFunc._of({union_power(mu, d): Fraction(1)})) for mu in partitions_of(n)
-        }
+        values = {}
+        for mu in partitions_of(n):
+            nu = union_power(mu, d)  # p_nu has the class value z_nu
+            values[mu] = symfunc.hall_inner(power, SymFunc._of({nu: centralizer_order(nu)}))
     else:
         raise ValueError(f"unknown route {route!r}, expected {ROUTE_DIRECT!r} or {ROUTE_PLETHYSTIC!r}")
     return ClassFunction(n, values)

@@ -183,7 +183,11 @@ def mn_value(nu: Partition, rho: Partition, cache: CharCache | None = None) -> i
 def character_row(lam: Partition, cache: CharCache | None = None) -> dict[Partition, int]:
     """{mu: character of shape lam at mu} over partitions_of(|lam|), in that
     order.  Checks lam once; classes from partitions_of need no check."""
-    lam = check_partition(lam)
+    return _row(check_partition(lam), cache)
+
+
+def _row(lam: Partition, cache: CharCache | None) -> dict[Partition, int]:
+    """character_row of a lam that is checked already."""
     mask, values = encode_mask(lam), (cache if cache is not None else _default_cache)._values
     return {mu: _mn(mask, mu, values) for mu in partitions_of(sum(lam))}
 

@@ -105,6 +105,8 @@ def multiplicity(mu: Partition, i: int) -> int:
     return sum(1 for part in mu if part == i)
 
 
+# Bounded memo: the symmetric-function layer asks for the same few cycle types.
+@functools.lru_cache(maxsize=4096)
 def centralizer_order(mu: Partition) -> int:
     """Order of the centralizer of a permutation of cycle type mu.
 

@@ -1,36 +1,30 @@
-"""Sparse exact symmetric functions, expanded in power sums.
+"""Sparse exact symmetric functions, stored as class values on power sums.
 
-A SymFunc is a finite map from partitions mu to the rational coefficients of
-the power sums p_mu.  That is the one representation used for computing:
-multiplication is multiset union of keys, the Hall pairing is diagonal, and
-the variable-power substitution and its adjoint act monomially.  Schur
-expansions are plain {partition: Fraction} dicts, produced by power_to_schur
-and turned back into power sums by to_power, through the character-table
-transition
+A SymFunc maps partitions mu to class values F_mu = z_mu * [p_mu]f (the
+power-sum coefficient times the centralizer order): the class function that
+the characteristic map sends to f.  The Schur function s_lam, the sum over
+mu of chi^lam_mu / z_mu * p_mu, is stored as the character row of lam, and
+the operations keep int values int.  A product sends F_mu * G_kappa to the
+multiset union nu with the integer weight z_nu / (z_mu * z_kappa); psi_d
+(each variable to its d-th power) sends p_mu to p_(d*mu); its Hall adjoint
+phi_d kills p_nu unless d divides every part of nu, and otherwise keeps F_nu
+at nu/d.  phi_d of a Schur function with nonempty d-core is zero, which
+makes the abacus formula (sign times the product of the quotient's Schur
+functions) total.
 
-    s_lam = sum over mu of (chi^lam_mu / z_mu) * p_mu
-
-so every coefficient stays an exact Fraction; there is no floating point
-anywhere in this module.  The public SymFunc constructor (to_power uses it
-too) checks every key and makes every coefficient a Fraction; the module's
-own results are trusted and only drop their zero coefficients.
-
-Conventions:
-
-* psi_d replaces each variable by its d-th power; on power sums it sends
-  p_mu to p of mu with every part multiplied by d.
-* phi_d is the Hall adjoint of psi_d; on power sums it kills p_nu unless
-  every part of nu is divisible by d, and otherwise divides the parts by d
-  and multiplies the coefficient by d^(number of parts).
-* phi_d on a Schur function with nonempty d-core is zero.  The adjoint
-  computation forces this, and it is what makes the abacus formula
-  (sign times the product of the quotient's Schur functions) total.
+Other values stay exact Fractions; there is no floating point here.  The
+public constructor takes power-sum coefficients and checks every key, and
+SymFunc.terms gives them back as {mu: Fraction}; the module's own results
+are trusted and only drop zero values.  Schur expansions are plain
+{partition: Fraction} dicts (power_to_schur, to_power).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Mapping
 
 from . import mn
@@ -49,50 +43,57 @@ from .partitions import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SymFunc:
-    """Sparse power-sum expansion; zero coefficients are never stored."""
+    """Sparse class values {mu: F_mu}; zero values are never stored."""
 
-    terms: dict[Partition, Fraction] = field(default_factory=dict)
+    values: dict[Partition, int | Fraction]
 
-    def __post_init__(self):
-        terms = {key: Fraction(coeff) for key, coeff in self.terms.items()}
-        object.__setattr__(self, "terms", {check_partition(key): c for key, c in terms.items() if c})
+    def __init__(self, terms: Mapping[Partition, Fraction | int] | None = None):
+        """From power-sum coefficients {mu: [p_mu]f}; checks every key."""
+        coeffs = {check_partition(key): Fraction(coeff) for key, coeff in (terms or {}).items()}
+        object.__setattr__(self, "values", {mu: _exact(c * centralizer_order(mu)) for mu, c in coeffs.items() if c})
 
     @classmethod
-    def _of(cls, terms: Mapping[Partition, Fraction]) -> "SymFunc":
-        """Trusted construction from partition keys and Fractions: only drops zeros."""
+    def _of(cls, values: Mapping[Partition, int | Fraction]) -> "SymFunc":
+        """Trusted construction from partition keys and class values: only drops zeros."""
         f = object.__new__(cls)
-        object.__setattr__(f, "terms", {key: coeff for key, coeff in terms.items() if coeff})
+        object.__setattr__(f, "values", {key: value for key, value in values.items() if value})
         return f
+
+    @functools.cached_property
+    def terms(self) -> dict[Partition, Fraction]:
+        """The power-sum coefficients {mu: F_mu / z_mu}."""
+        return {mu: Fraction(value, centralizer_order(mu)) for mu, value in self.values.items()}
 
     @classmethod
     def power(cls, mu: Partition, coeff: Fraction | int = 1) -> "SymFunc":
         return cls({tuple(mu): coeff})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.values
 
     def degrees(self) -> list[int]:
-        return sorted({sum(key) for key in self.terms})
+        return sorted({sum(key) for key in self.values})
 
     def homogeneous_component(self, n: int) -> "SymFunc":
-        return SymFunc._of({key: c for key, c in self.terms.items() if sum(key) == n})
+        return SymFunc._of({key: value for key, value in self.values.items() if sum(key) == n})
 
     def __add__(self, other: "SymFunc") -> "SymFunc":
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + coeff
+        out = dict(self.values)
+        for key, value in other.values.items():
+            out[key] = out.get(key, 0) + value
         return SymFunc._of(out)
 
     def __sub__(self, other: "SymFunc") -> "SymFunc":
         return self + (-1) * other
 
     def __rmul__(self, scalar: Fraction | int) -> "SymFunc":
-        scalar = Fraction(scalar)
-        return SymFunc._of({key: scalar * coeff for key, coeff in self.terms.items()})
+        scalar = _exact(Fraction(scalar))
+        return SymFunc._of({key: scalar * value for key, value in self.values.items()})
 
     def sorted_items(self) -> list[tuple[Partition, Fraction]]:
+        """The power-sum coefficients in sort_key order."""
         return sorted(self.terms.items(), key=lambda item: sort_key(item[0]))
 
     def to_json_dict(self) -> dict:
@@ -112,12 +113,14 @@ class SymFunc:
         return cls({parse_partition(key): parse_rational(text) for key, text in terms.items()})
 
 
+def _exact(value: Fraction) -> int | Fraction:
+    """An integral Fraction as an int, which keeps class-value arithmetic fast."""
+    return value.numerator if value.denominator == 1 else value
+
+
 def format_rational(value: Fraction) -> str:
     """Decimal string, "num/den" only when the denominator is not 1."""
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(Fraction(value))
 
 
 def parse_rational(text: str) -> Fraction:
@@ -125,44 +128,41 @@ def parse_rational(text: str) -> Fraction:
 
 
 def schur_to_power(lam: Partition, cache: mn.CharCache | None = None) -> SymFunc:
-    """Power-sum expansion of a single Schur function via character values."""
-    row = mn.character_row(lam, cache)
-    return SymFunc._of({mu: Fraction(value, centralizer_order(mu)) for mu, value in row.items()})
+    """The Schur function of lam: its class values are the character row of lam."""
+    return SymFunc._of(mn.character_row(lam, cache))
 
 
 def to_power(schur: Mapping[Partition, Fraction | int], cache: mn.CharCache | None = None) -> SymFunc:
     """Power-sum expansion of a Schur expansion; inverse of power_to_schur."""
-    out: dict[Partition, Fraction] = {}
-    for lam, coeff in schur.items():
-        for mu, c in schur_to_power(lam, cache).terms.items():
-            out[mu] = out.get(mu, Fraction(0)) + coeff * c
-    return SymFunc(out)
+    return sum((coeff * schur_to_power(lam, cache) for lam, coeff in schur.items()), SymFunc())
 
 
 def power_to_schur(f: SymFunc, cache: mn.CharCache | None = None) -> dict[Partition, Fraction]:
     """Schur expansion {lam: coefficient} in sort_key order, zeros omitted,
     built degree by degree; the coefficient of lam is the Hall pairing of f
-    with the Schur function of lam."""
+    with the Schur function of lam, summed in n!-ths and divided once."""
     out: dict[Partition, Fraction] = {}
     for n in f.degrees():
-        component = f.homogeneous_component(n)
+        order = factorial(n)
+        weighted = [(mu, value * (order // centralizer_order(mu))) for mu, value in f.values.items() if sum(mu) == n]
         for lam in partitions_of(n):
-            coeff = sum(
-                (c * mn.mn_value(lam, mu, cache) for mu, c in component.terms.items()),
-                Fraction(0),
-            )
-            if coeff:
-                out[lam] = coeff
+            total = sum(weight * mn.mn_value(lam, mu, cache) for mu, weight in weighted)
+            if total:
+                out[lam] = Fraction(total, order)
     return out
 
 
 def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
-    """Product; on power sums it is multiset union of keys."""
-    out: dict[Partition, Fraction] = {}
-    for mu, a in f.terms.items():
-        for nu, b in g.terms.items():
-            key = union(mu, nu)
-            out[key] = out.get(key, Fraction(0)) + a * b
+    """Product: p_mu * p_kappa is p at the multiset union nu, so F_mu * G_kappa
+    lands at nu with the weight z_nu / (z_mu * z_kappa), which is the product
+    over part values i of binomial(m_i(nu), m_i(mu))."""
+    out: dict[Partition, int | Fraction] = {}
+    right = [(kappa, b, centralizer_order(kappa)) for kappa, b in g.values.items()]
+    for mu, a in f.values.items():
+        z_mu = centralizer_order(mu)
+        for kappa, b, z_kappa in right:
+            nu = union(mu, kappa)
+            out[nu] = out.get(nu, 0) + a * b * (centralizer_order(nu) // (z_mu * z_kappa))
     return SymFunc._of(out)
 
 
@@ -178,38 +178,28 @@ def power_d(f: SymFunc, d: int) -> SymFunc:
 
 def hall_inner(f: SymFunc, g: SymFunc) -> Fraction:
     """Hall inner product; power sums are orthogonal with squared norm z_mu."""
-    if len(g.terms) < len(f.terms):
-        f, g = g, f
-    total = Fraction(0)
-    for mu, a in f.terms.items():
-        b = g.terms.get(mu)
-        if b is not None:
-            total += a * b * centralizer_order(mu)
-    return total
+    common = f.values.keys() & g.values.keys()
+    return sum((Fraction(f.values[mu] * g.values[mu], centralizer_order(mu)) for mu in common), Fraction(0))
 
 
 def psi_d(f: SymFunc, d: int) -> SymFunc:
-    """Substitute each variable by its d-th power: p_mu goes to p_(d*mu)."""
+    """Substitute each variable by its d-th power: p_mu goes to p_(d*mu), and
+    z_(d*mu) = d^len(mu) * z_mu."""
     if d < 1:
         raise ValueError(f"substitution power must be positive, got {d}")
-    return SymFunc._of({scale(mu, d): coeff for mu, coeff in f.terms.items()})
+    return SymFunc._of({scale(mu, d): value * d ** len(mu) for mu, value in f.values.items()})
 
 
 def phi_d_power(f: SymFunc, d: int) -> SymFunc:
     """Hall adjoint of psi_d, computed monomially on the power-sum basis.
 
     p_nu maps to d^len(nu) * p_(nu/d) when every part of nu is divisible by
-    d, and to zero otherwise.
+    d, and to zero otherwise; as z_nu = d^len(nu) * z_(nu/d), F_(nu/d) = F_nu.
     """
     if d < 1:
         raise ValueError(f"substitution power must be positive, got {d}")
-    out: dict[Partition, Fraction] = {}
-    for nu, coeff in f.terms.items():
-        if any(part % d for part in nu):
-            continue
-        key = tuple(part // d for part in nu)
-        out[key] = out.get(key, Fraction(0)) + coeff * d ** len(nu)
-    return SymFunc._of(out)
+    divisible = (nu for nu in f.values if not any(part % d for part in nu))
+    return SymFunc._of({tuple(part // d for part in nu): f.values[nu] for nu in divisible})
 
 
 def phi_d_littlewood(nu: Partition, d: int, cache: mn.CharCache | None = None) -> SymFunc:
@@ -223,7 +213,7 @@ def phi_d_littlewood(nu: Partition, d: int, cache: mn.CharCache | None = None) -
     sign = d_sign(nu, d)
     if sign is None:
         return SymFunc()
-    result = SymFunc._of({EMPTY: Fraction(sign)})
+    result = SymFunc._of({EMPTY: sign})
     for component in d_quotient(nu, d):
         result = multiply(result, schur_to_power(component, cache))
     return result

@@ -42,7 +42,7 @@ from .characters import (
     decompose,
     scaled_classfunction,
 )
-from .mn import CharCache, character_row, mn_value
+from .mn import CharCache, _row, character_row, mn_value
 from .partitions import (
     Partition,
     boxplus,
@@ -136,8 +136,8 @@ def f_dim(lam: Partition) -> int:
 
 def _character_failures(lam: Partition, phi: ClassFunction, cache: CharCache | None) -> list:
     """Check that phi, built from lam, is a character: its decomposition has
-    nonnegative integer multiplicities, and re-synthesizing from them
-    reproduces phi at every class."""
+    nonnegative integer multiplicities, and re-synthesizing from them (the
+    class values of their to_power) reproduces phi at every class."""
     failures = []
     mults = decompose(phi, cache)
     for nu, m in mults.items():
@@ -148,9 +148,9 @@ def _character_failures(lam: Partition, phi: ClassFunction, cache: CharCache | N
                 "relation": "multiplicity is a nonnegative integer",
                 "multiplicity": symfunc.format_rational(m),
             })
-    rows = [(m, character_row(nu, cache)) for nu, m in mults.items()]
+    resynth_values = symfunc.to_power(mults, cache).values
     for mu, value in phi.values.items():
-        resynth = sum((m * row[mu] for m, row in rows), Fraction(0))
+        resynth = resynth_values.get(mu, 0)
         if resynth != value:
             failures.append({
                 "lambda": format_partition(lam),
@@ -245,15 +245,12 @@ def verify_littlewood(
     def check(nu: Partition) -> tuple[int, list]:
         via_abacus = symfunc.phi_d_littlewood(nu, d, cache)
         via_power = symfunc.phi_d_power(symfunc.schur_to_power(nu, cache), d)
-        if via_abacus.terms != via_power.terms:
-            diff = via_abacus - via_power
+        if via_abacus != via_power:
             return 1, [{
                 "nu": format_partition(nu),
                 "d": d,
                 "relation": "abacus route = power-basis route",
-                "difference_terms": {
-                    format_partition(key): symfunc.format_rational(val) for key, val in diff.sorted_items()
-                },
+                "difference_terms": (via_abacus - via_power).to_json_dict()["terms"],
             }]
         return 1, []
 
@@ -291,7 +288,7 @@ def verify_theorem2_div(
                     "relation": f"{divisor} divides value",
                     "value": str(value),
                 })
-            pairing = symfunc.hall_inner(power, SymFunc._of({mu: Fraction(1)}))
+            pairing = symfunc.hall_inner(power, SymFunc._of({mu: centralizer_order(mu)}))
             if pairing != value:
                 failures.append({
                     "lambda": format_partition(lam),
@@ -354,7 +351,8 @@ def _ordered_tuples(mu: Partition, n: int, d: int) -> list[tuple[Partition, ...]
 
 
 def _oracle_input(lam: Partition, mu: Partition, d: int) -> tuple[Partition, Partition, int]:
-    """Checked lam and mu, and n = |lam|, for a tuple summation at the d-scaled class of mu."""
+    """Checked lam and mu, and n = |lam|, for a tuple summation at the d-scaled
+    class of mu; callers read lam's row with mn._row, which does not check it."""
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
     lam = check_partition(lam)
@@ -375,7 +373,7 @@ def hall_summation_oracle(lam: Partition, mu: Partition, d: int, cache: CharCach
     (zero) when mu has a part larger than n.
     """
     lam, mu, n = _oracle_input(lam, mu, d)
-    return _oracle(character_row(lam, cache), mu, n, d)[0]
+    return _oracle(_row(lam, cache), mu, n, d)[0]
 
 
 def orbit_divisibility_check(
@@ -392,7 +390,7 @@ def orbit_divisibility_check(
     start = time.perf_counter()
     lam, mu, n = _oracle_input(lam, mu, d)
     params = {"lambda": format_partition(lam), "mu": format_partition(mu), "d": d}
-    _, orbits, failures = _oracle(character_row(lam, cache), mu, n, d)
+    _, orbits, failures = _oracle(_row(lam, cache), mu, n, d)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     return VerificationReport(HALL_ORACLE, params, orbits, failures, elapsed_ms)
 

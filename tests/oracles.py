@@ -18,10 +18,16 @@ genuine cross-check rather than a tautology:
 * beta_core, beta_quotient, beta_sign: d-core, d-quotient and d-sign on
   beta-number tuples, as the package had them before it read its runners
   off bead masks, kept to test those differentially;
-* count_partitions: partition counts by capped-part dynamic programming.
+* count_partitions: partition counts by capped-part dynamic programming;
+* fraction_multiply, fraction_hall_inner, fraction_power_to_schur,
+  fraction_psi_d, fraction_phi_d_power: the symmetric-function layer on
+  {partition: Fraction} power-sum coefficients, as the package had it
+  before it stored class values, kept to test those differentially
+  (fraction_power_to_schur reads the tabloid table, not ribbon stripping).
 """
 
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 
@@ -268,3 +274,51 @@ def beta_sign(nu: tuple[int, ...], d: int) -> int | None:
         finals.append((len(runners[r]) - seen[r]) * d + r)
     inversions = sum(a < b for i, a in enumerate(finals) for b in finals[i + 1 :])
     return -1 if inversions % 2 else 1
+
+
+def fraction_multiply(f: dict, g: dict) -> dict:
+    """Product of power-sum expansions: p_mu * p_nu is p of the multiset union."""
+    out = {}
+    for mu, a in f.items():
+        for nu, b in g.items():
+            key = tuple(sorted(mu + nu, reverse=True))
+            out[key] = out.get(key, Fraction(0)) + a * b
+    return {key: coeff for key, coeff in out.items() if coeff}
+
+
+def fraction_hall_inner(f: dict, g: dict) -> Fraction:
+    """Hall inner product: power sums are orthogonal with squared norm z_mu."""
+    return sum((a * g[mu] * z_order(mu) for mu, a in f.items() if mu in g), Fraction(0))
+
+
+@cache
+def _tabloid_table(n: int) -> dict:
+    return tabloid_character_table(n)
+
+
+def fraction_power_to_schur(f: dict) -> dict:
+    """Schur expansion, degree by degree in descending lexicographic order:
+    the coefficient of lam is the sum over mu of [p_mu]f * chi^lam_mu."""
+    out = {}
+    for n in sorted({sum(mu) for mu in f}):
+        table = _tabloid_table(n)
+        for lam in partitions_desc(n):
+            coeff = sum((c * table[lam][mu] for mu, c in f.items() if sum(mu) == n), Fraction(0))
+            if coeff:
+                out[lam] = coeff
+    return out
+
+
+def fraction_psi_d(f: dict, d: int) -> dict:
+    """p_mu goes to p of mu with every part multiplied by d."""
+    return {tuple(d * part for part in mu): coeff for mu, coeff in f.items()}
+
+
+def fraction_phi_d_power(f: dict, d: int) -> dict:
+    """p_nu goes to d^len(nu) * p_(nu/d) when d divides every part of nu, else to zero."""
+    out = {}
+    for nu, coeff in f.items():
+        if all(part % d == 0 for part in nu):
+            key = tuple(part // d for part in nu)
+            out[key] = out.get(key, Fraction(0)) + coeff * d ** len(nu)
+    return out

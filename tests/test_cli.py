@@ -71,6 +71,17 @@ class TestBoxplus:
         assert data["direct"] == data["plethystic"]
         assert data["direct"]["values"] == {"2": "2", "1,1": "6"}
         assert data["decomposition"] == {"2": "4", "1,1": "2"}
+        code, out, err = run_cli(capsys, "boxplus", "2,1", "--d", "2", "--route", "plethystic")
+        assert code == 0
+        # Byte for byte, key order included.
+        expected = {
+            "lambda": "2,1",
+            "d": 2,
+            "route": "plethystic",
+            "classfunction": {"n": 3, "values": {"3": "2", "2,1": "0", "1,1,1": "80"}},
+            "decomposition": {"3": "14", "2,1": "26", "1,1,1": "14"},
+        }
+        assert out == json.dumps(expected, indent=2) + "\n"
 
     def test_d_one_reproduces_table_row(self, capsys):
         code, out, err = run_cli(capsys, "boxplus", "2,1", "--d", "1")

@@ -69,6 +69,25 @@ class TestBasics:
         for n in range(13):
             assert sum(math.factorial(n) // centralizer_order(mu) for mu in partitions_of(n)) == math.factorial(n)
 
+    def test_union_weight_is_a_product_of_binomials(self):
+        # The symmetric-function layer multiplies class values with the
+        # weight z_nu / (z_mu * z_kappa) at nu = mu u kappa.
+        everything = [mu for n in range(11) for mu in partitions_of(n)]
+        for mu in everything:
+            for kappa in everything:
+                if sum(mu) + sum(kappa) > 10:
+                    continue
+                nu = union(mu, kappa)
+                weight, remainder = divmod(centralizer_order(nu), centralizer_order(mu) * centralizer_order(kappa))
+                assert remainder == 0, (mu, kappa)
+                assert weight == math.prod(
+                    math.comb(multiplicity(nu, i), multiplicity(mu, i)) for i in set(nu)
+                ), (mu, kappa)
+
+    def test_centralizer_memo_is_bounded_and_takes_the_empty_partition(self):
+        assert centralizer_order(EMPTY) == centralizer_order(()) == 1
+        assert centralizer_order.cache_info().maxsize is not None
+
     @given(partitions)
     def test_class_size_is_integer(self, mu):
         n = sum(mu)

@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from plethy import (
     ClassFunction,
     SymFunc,
     boxplus,
+    centralizer_order,
     ch,
     check_partition,
     format_rational,
@@ -24,6 +26,7 @@ from plethy import (
     sort_key,
     to_power,
 )
+from plethy.mn import character_row
 
 partitions = st.integers(min_value=0, max_value=8).flatmap(
     lambda n: st.sampled_from(partitions_of(n))
@@ -33,6 +36,15 @@ small_symfuncs = st.dictionaries(
     st.integers(min_value=0, max_value=5).flatmap(lambda n: st.sampled_from(partitions_of(n))),
     st.fractions(min_value=-5, max_value=5, max_denominator=6),
     max_size=4,
+).map(SymFunc)
+
+
+# Degree at most 6 with rational coefficients: the range of the
+# differential tests against the Fraction layer in oracles.
+symfuncs_to_6 = st.dictionaries(
+    st.integers(min_value=0, max_value=6).flatmap(lambda n: st.sampled_from(partitions_of(n))),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    max_size=5,
 ).map(SymFunc)
 
 
@@ -287,3 +299,54 @@ class TestLittlewoodRoute:
     def test_d_one_is_identity(self):
         for nu in partitions_of(5):
             assert phi_d_littlewood(nu, 1).terms == schur_to_power(nu).terms
+
+
+class TestClassValues:
+    """A SymFunc stores F_mu = z_mu * [p_mu]f; terms is the p-coefficient view."""
+
+    def test_schur_functions_are_character_rows(self):
+        for n in range(9):
+            for lam in partitions_of(n):
+                row = character_row(lam)
+                f = schur_to_power(lam)
+                assert f.values == {mu: value for mu, value in row.items() if value}
+                assert all(type(value) is int for value in f.values.values())
+                assert f.terms == {mu: Fraction(value, centralizer_order(mu)) for mu, value in row.items() if value}
+
+    def test_constructor_takes_power_sum_coefficients(self):
+        f = SymFunc({(2, 2): Fraction(1, 8), (1,): 3})
+        assert f.values == {(2, 2): 1, (1,): 3}
+        assert f.terms == {(2, 2): Fraction(1, 8), (1,): Fraction(3)}
+        assert f == SymFunc.from_json_dict(f.to_json_dict())
+        assert f != SymFunc({(2, 2): 1, (1,): 3})
+
+
+class TestAgainstFractionLayer:
+    """The class-value layer against the p-coefficient layer it replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(symfuncs_to_6, symfuncs_to_6)
+    def test_multiply(self, f, g):
+        assert multiply(f, g).terms == oracles.fraction_multiply(f.terms, g.terms)
+
+    @settings(max_examples=80, deadline=None)
+    @given(symfuncs_to_6, symfuncs_to_6)
+    def test_hall_inner(self, f, g):
+        for h in (g, f, f + g):
+            assert hall_inner(f, h) == oracles.fraction_hall_inner(f.terms, h.terms)
+
+    @settings(max_examples=60, deadline=None)
+    @given(symfuncs_to_6)
+    def test_power_to_schur(self, f):
+        expected = oracles.fraction_power_to_schur(f.terms)
+        result = power_to_schur(f)
+        assert list(result.items()) == list(expected.items())
+        assert all(type(coeff) is Fraction for coeff in result.values())
+
+    @settings(max_examples=80, deadline=None)
+    @given(symfuncs_to_6, st.integers(min_value=1, max_value=3))
+    def test_psi_d_and_phi_d_power(self, f, d):
+        assert psi_d(f, d).terms == oracles.fraction_psi_d(f.terms, d)
+        assert phi_d_power(f, d).terms == oracles.fraction_phi_d_power(f.terms, d)
+        image = psi_d(f, d)
+        assert phi_d_power(image, d).terms == oracles.fraction_phi_d_power(image.terms, d)

@@ -7,6 +7,7 @@ import oracles
 from plethy import verify as verify_mod
 from plethy import (
     CharCache,
+    SymFunc,
     VerificationReport,
     boxplus,
     f_dim,
@@ -101,6 +102,20 @@ class TestTheorem1Sweep:
                 assert report.theorem == "Thm1Scaled"
                 assert report.status == "PASS", (n, d, report.failures)
 
+    @pytest.mark.parametrize("mults, extra", [({(1,): Fraction(1, 2)}, "1/2"), ({}, "0")])
+    def test_resynthesis_failure_reports_both_values(self, monkeypatch, mults, extra):
+        # Level 1: the only class function value is chi^(2) at (2), which is 1.
+        monkeypatch.setattr(verify_mod, "decompose", lambda phi, cache=None: mults)
+        failures = verify_theorem1_scaled(1, 2).failures
+        assert failures[-1] == {
+            "lambda": "1",
+            "mu": "1",
+            "relation": "sum of multiplicities times irreducibles = class function",
+            "resynthesized": extra,
+            "value": "1",
+        }
+        assert len(failures) == len(mults) + 1
+
 
 class TestLittlewoodSweep:
     def test_counts_all_shapes_including_empty(self):
@@ -111,6 +126,19 @@ class TestLittlewoodSweep:
 
     def test_larger_d(self):
         assert verify_littlewood(5, 3).status == "PASS"
+
+    def test_failure_lists_the_difference_in_power_sums(self, monkeypatch):
+        # A wrong abacus route giving p_1/3 for every shape; the power-basis
+        # route gives 1, 0, p_1 and -p_1 for (), (1), (2) and (1, 1).
+        monkeypatch.setattr(verify_mod.symfunc, "phi_d_littlewood", lambda nu, d, cache=None: SymFunc.power((1,), Fraction(1, 3)))
+        report = verify_littlewood(2, 2)
+        relation = "abacus route = power-basis route"
+        assert report.failures == [
+            {"nu": "", "d": 2, "relation": relation, "difference_terms": {"": "-1", "1": "1/3"}},
+            {"nu": "1", "d": 2, "relation": relation, "difference_terms": {"1": "1/3"}},
+            {"nu": "2", "d": 2, "relation": relation, "difference_terms": {"1": "-2/3"}},
+            {"nu": "1,1", "d": 2, "relation": relation, "difference_terms": {"1": "4/3"}},
+        ]
 
     def test_limits(self):
         with pytest.raises(ValueError, match="max_size = 9 exceeds the limit 8"):
@@ -193,6 +221,23 @@ class TestHallSummation:
                     big = boxplus(lam, d)
                     for mu in partitions_of(d * n):
                         assert hall_summation_oracle(lam, mu, d) == mn_value(big, scale(mu, d))
+
+    @pytest.mark.parametrize("oracle", [hall_summation_oracle, orbit_divisibility_check])
+    def test_lambda_is_checked_once(self, oracle, monkeypatch):
+        import plethy
+
+        seen = []
+        check = plethy.partitions.check_partition
+
+        def counting(parts):
+            seen.append(tuple(parts))
+            return check(parts)
+
+        for module in (plethy.partitions, plethy.mn, plethy.verify):
+            monkeypatch.setattr(module, "check_partition", counting)
+        oracle((2, 1), (2, 2, 1, 1), 2)
+        assert seen.count((2, 1)) == 1
+        assert seen.count((2, 2, 1, 1)) == 1
 
 
 def splits_tuples(mu, n, d):
