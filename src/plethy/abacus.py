@@ -70,20 +70,21 @@ def mask_ribbons(mask: int, length: int) -> list[tuple[int, int]]:
     return moves
 
 
-def _runners(nu: Partition, d: int) -> list[int]:
-    """Per residue r, the mask of runner r of nu's abacus on d * ceil(len/d)
-    beads: bit q set when bead q * d + r is."""
+def _beads(nu: Partition, d: int) -> list[int]:
+    """The bead positions of nu's abacus on t = d * ceil(len/d) beads, descending:
+    row i at nu[i] + t - 1 - i, then the padding beads at pad - 1, ..., 0."""
     if d < 1:
         raise PartitionError(f"ribbon length must be positive, got {d}")
     nu = check_partition(nu)
     pad = -len(nu) % d
-    mask = (encode_mask(nu) << pad) | ((1 << pad) - 1)
+    return [part + len(nu) + pad - 1 - i for i, part in enumerate(nu)] + list(range(pad - 1, -1, -1))
+
+
+def _runners(nu: Partition, d: int) -> list[int]:
+    """Per residue r, the mask of runner r of nu's abacus: bit q set when bead q * d + r is."""
     runners = [0] * d
-    while mask:
-        low = mask & -mask
-        q, r = divmod(low.bit_length() - 1, d)
-        runners[r] |= 1 << q
-        mask ^= low
+    for bead in _beads(nu, d):
+        runners[bead % d] |= 1 << (bead // d)
     return runners
 
 
@@ -112,18 +113,20 @@ def d_sign(nu: Partition, d: int) -> int | None:
     computed as the sign of the permutation sorting the beads into the
     packed-runner configuration, which is stripping-order independent.
     """
-    runners = _runners(nu, d)
-    # The d-core is empty exactly when the packed runners fill 0..t-1, i.e.
-    # when every runner holds the same number of beads.
-    if len({runner.bit_count() for runner in runners}) > 1:
-        return None
     # In ascending position, the k-th bead of runner r (0-based) comes to rest at k * d + r.
     seen = [0] * d
-    finals = []
-    for q in range(max(runners).bit_length()):
-        for r, runner in enumerate(runners):
-            if runner >> q & 1:
-                finals.append(seen[r] * d + r)
-                seen[r] += 1
-    inversions = sum(a > b for i, a in enumerate(finals) for b in finals[i + 1 :])
-    return -1 if inversions % 2 else 1
+    rest = []
+    for bead in reversed(_beads(nu, d)):
+        rest.append(seen[bead % d] * d + bead % d)
+        seen[bead % d] += 1
+    # The d-core is empty exactly when every runner holds the same number of
+    # beads, i.e. when the rest positions fill 0..t-1.
+    if len(set(seen)) > 1:
+        return None
+    # The permutation j -> rest[j] has sign (-1)^(t - cycles); walking a cycle clears it.
+    cycles = 0
+    for j in range(len(rest)):
+        cycles += rest[j] is not None
+        while rest[j] is not None:
+            rest[j], j = None, rest[j]
+    return -1 if (len(rest) - cycles) % 2 else 1

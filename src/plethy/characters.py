@@ -1,12 +1,12 @@
 """Class functions on symmetric groups and their symmetric-function avatars.
 
-A class function of level n stores one rational per cycle type, i.e. a total
-map over partitions_of(n).  The characteristic map sends it to the symmetric
-function sum over mu of value(mu)/z_mu * p_mu (the group-element sum
-collapsed class by class), and is inverted by pairing with power sums.  A
-SymFunc stores exactly these values (its class values F_mu = z_mu * [p_mu]f),
-so both maps are relabelings.  The map exchanges the induction product with
-multiplication, which is how the induction product is computed here.
+A class function of level n stores one value per cycle type, a total map over
+partitions_of(n), as an int when integral and a Fraction otherwise.  The
+characteristic map sends it to the symmetric function sum over mu of
+value(mu)/z_mu * p_mu (the group-element sum collapsed class by class), and is
+inverted by pairing with power sums.  A SymFunc stores exactly these class
+values, F_mu = z_mu * [p_mu]f, so both maps are relabelings.  The map exchanges
+the induction product with multiplication, which is how it is computed here.
 
 Genuine characters have integer values; that is asserted where needed, never
 assumed by the types.
@@ -39,10 +39,10 @@ ROUTE_PLETHYSTIC = "plethystic"
 
 @dataclass(frozen=True)
 class ClassFunction:
-    """Level n plus a total map {partitions of n} -> Fraction."""
+    """Level n plus a total map {partitions of n} -> int, or Fraction where not integral."""
 
     n: int
-    values: dict[Partition, Fraction] = field(default_factory=dict)
+    values: dict[Partition, int | Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
         expected = partitions_of(self.n)
@@ -50,7 +50,8 @@ class ClassFunction:
         for mu in expected:
             if mu not in self.values:
                 raise ValueError(f"class function of level {self.n} missing value at {mu}")
-            coerced[mu] = Fraction(self.values[mu])
+            value = self.values[mu]
+            coerced[mu] = value if type(value) is int else _exact(Fraction(value))
         if len(self.values) != len(expected):
             extra = set(self.values) - set(expected)
             raise ValueError(f"class function of level {self.n} has spurious keys {sorted(extra)}")
@@ -59,12 +60,12 @@ class ClassFunction:
     @classmethod
     def from_partial(cls, n: int, values: Mapping[Partition, Fraction | int]) -> "ClassFunction":
         """Build from a sparse map, filling unmentioned classes with zero."""
-        full = {mu: Fraction(0) for mu in partitions_of(n)}
+        full = dict.fromkeys(partitions_of(n), 0)
         for mu, value in values.items():
             mu = check_partition(mu)
             if sum(mu) != n:
                 raise ValueError(f"key {mu} is not a partition of {n}")
-            full[mu] = Fraction(value)
+            full[mu] = value
         return cls(n, full)
 
     @classmethod
@@ -112,7 +113,7 @@ def irreducible_character(lam: Partition, cache: CharCache | None = None) -> Cla
 def ch(phi: ClassFunction) -> SymFunc:
     """Characteristic map: sum of value(mu)/z_mu * p_mu over cycle types,
     whose class values are the values of phi."""
-    return SymFunc._of({mu: _exact(value) for mu, value in phi.values.items()})
+    return SymFunc._of(phi.values)
 
 
 def ch_inverse(f: SymFunc, n: int) -> ClassFunction:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import os
 from collections import defaultdict
+from typing import Iterable
 
 from .abacus import decode_mask, encode_mask, mask_ribbons as remove_ribbons  # benchmarks/tracing.py wraps this name
 from .partitions import Partition, check_partition, format_partition, parse_partition, partitions_of
@@ -181,15 +182,15 @@ def mn_value(nu: Partition, rho: Partition, cache: CharCache | None = None) -> i
 
 
 def character_row(lam: Partition, cache: CharCache | None = None) -> dict[Partition, int]:
-    """{mu: character of shape lam at mu} over partitions_of(|lam|), in that
-    order.  Checks lam once; classes from partitions_of need no check."""
-    return _row(check_partition(lam), cache)
+    """{mu: character of shape lam at mu} over partitions_of(|lam|), in that order; checks lam."""
+    lam = check_partition(lam)
+    return _row(lam, partitions_of(sum(lam)), cache)
 
 
-def _row(lam: Partition, cache: CharCache | None) -> dict[Partition, int]:
-    """character_row of a lam that is checked already."""
+def _row(lam: Partition, classes: Iterable[Partition], cache: CharCache | None) -> dict[Partition, int]:
+    """character_row over the given classes, all of size |lam|, in their order; checks nothing."""
     mask, values = encode_mask(lam), (cache if cache is not None else _default_cache)._values
-    return {mu: _mn(mask, mu, values) for mu in partitions_of(sum(lam))}
+    return {mu: _mn(mask, mu, values) for mu in classes}
 
 
 def _mn(mask: int, rho: Partition, values: defaultdict[Partition, dict[int, int]]) -> int:
@@ -232,4 +233,4 @@ def character_table(n: int, max_n: int = DEFAULT_TABLE_LIMIT, cache: CharCache |
         raise ValueError(f"table size must be nonnegative, got {n}")
     if n > max_n:
         raise ValueError(f"table too large: n = {n} exceeds the limit {max_n}")
-    return [list(character_row(lam, cache).values()) for lam in partitions_of(n)]
+    return [list(_row(lam, partitions_of(n), cache).values()) for lam in partitions_of(n)]

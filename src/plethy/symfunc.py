@@ -138,15 +138,15 @@ def to_power(schur: Mapping[Partition, Fraction | int], cache: mn.CharCache | No
 
 
 def power_to_schur(f: SymFunc, cache: mn.CharCache | None = None) -> dict[Partition, Fraction]:
-    """Schur expansion {lam: coefficient} in sort_key order, zeros omitted,
-    built degree by degree; the coefficient of lam is the Hall pairing of f
-    with the Schur function of lam, summed in n!-ths and divided once."""
+    """Schur expansion {lam: coefficient} in sort_key order, zeros omitted, built
+    degree by degree; the coefficient of lam is the Hall pairing of f with the Schur
+    function of lam, read at f's support only, summed in n!-ths and divided once."""
     out: dict[Partition, Fraction] = {}
     for n in f.degrees():
         order = factorial(n)
-        weighted = [(mu, value * (order // centralizer_order(mu))) for mu, value in f.values.items() if sum(mu) == n]
+        weighted = {mu: value * (order // centralizer_order(mu)) for mu, value in f.values.items() if sum(mu) == n}
         for lam in partitions_of(n):
-            total = sum(weight * mn.mn_value(lam, mu, cache) for mu, weight in weighted)
+            total = sum(weighted[mu] * value for mu, value in mn._row(lam, weighted, cache).items())
             if total:
                 out[lam] = Fraction(total, order)
     return out

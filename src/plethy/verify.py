@@ -42,7 +42,7 @@ from .characters import (
     decompose,
     scaled_classfunction,
 )
-from .mn import CharCache, _row, character_row, mn_value
+from .mn import CharCache, _row, mn_value
 from .partitions import (
     Partition,
     boxplus,
@@ -373,7 +373,7 @@ def hall_summation_oracle(lam: Partition, mu: Partition, d: int, cache: CharCach
     (zero) when mu has a part larger than n.
     """
     lam, mu, n = _oracle_input(lam, mu, d)
-    return _oracle(_row(lam, cache), mu, n, d)[0]
+    return _oracle(_row(lam, partitions_of(n), cache), mu, n, d)[0]
 
 
 def orbit_divisibility_check(
@@ -390,7 +390,7 @@ def orbit_divisibility_check(
     start = time.perf_counter()
     lam, mu, n = _oracle_input(lam, mu, d)
     params = {"lambda": format_partition(lam), "mu": format_partition(mu), "d": d}
-    _, orbits, failures = _oracle(_row(lam, cache), mu, n, d)
+    _, orbits, failures = _oracle(_row(lam, partitions_of(n), cache), mu, n, d)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     return VerificationReport(HALL_ORACLE, params, orbits, failures, elapsed_ms)
 
@@ -455,7 +455,7 @@ def verify_hall_oracle(
     def check(lam: Partition) -> tuple[int, list]:
         failures = []
         big = boxplus(lam, d)
-        row = character_row(lam, cache)
+        row = _row(lam, partitions_of(n), cache)
         for mu in mus:
             oracle, _, orbit_failures = _oracle(row, mu, n, d)
             stripped = mn_value(big, scale(mu, d), cache)

@@ -61,6 +61,47 @@ class TestClassFunctionType:
             ClassFunction.from_json_dict({"values": {}})
 
 
+class TestValueTypes:
+    """A ClassFunction keeps SymFunc's class-value convention: an int where
+    the value is integral, a Fraction elsewhere."""
+
+    def test_integral_values_are_ints(self):
+        chi = irreducible_character((2, 1))
+        for phi in (
+            irreducible_character((3, 1)),
+            boxplus_classfunction((2, 1), 2, ROUTE_DIRECT),
+            boxplus_classfunction((2, 1), 2, ROUTE_PLETHYSTIC),
+            scaled_classfunction((2, 1), 2),
+            ClassFunction.from_partial(3, {(3,): Fraction(4, 2)}),
+            2 * chi,
+            ch_inverse(schur_to_power((2, 1)), 3),
+        ):
+            assert all(type(value) is int for value in phi.values.values()), phi
+
+    def test_other_values_are_fractions(self):
+        half = Fraction(1, 2) * irreducible_character((2, 1))
+        assert half.values == {(3,): Fraction(-1, 2), (2, 1): 0, (1, 1, 1): 1}
+        assert {mu: type(value) for mu, value in half.values.items()} == {
+            (3,): Fraction,
+            (2, 1): int,
+            (1, 1, 1): int,
+        }
+
+    def test_ch_keeps_values_and_their_types(self):
+        chi = irreducible_character((2, 1))
+        for phi in (
+            chi,
+            Fraction(1, 2) * chi,
+            ClassFunction.from_partial(4, {(2, 2): 3, (1, 1, 1, 1): Fraction(1, 3)}),
+        ):
+            nonzero = {mu: value for mu, value in phi.values.items() if value}
+            values = ch(phi).values
+            assert values == nonzero
+            assert {mu: type(value) for mu, value in values.items()} == {
+                mu: type(value) for mu, value in nonzero.items()
+            }
+
+
 class TestCharacteristicMap:
     def test_ch_of_trivial_character(self):
         for n in range(1, 6):

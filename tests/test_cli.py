@@ -149,6 +149,24 @@ class TestQuotient:
         assert code == 2
         assert "--d = 2 exceeds the limit 1" in err
 
+    @pytest.mark.parametrize(
+        "nu, d, quotient",
+        [("10000000", 2, ["", "5000000"]), ("40000", 40000, [""] * 39999 + ["1"])],
+    )
+    def test_long_row_finishes(self, nu, d, quotient):
+        """The sign reads the bead positions once: no scan over every
+        position up to the largest bead, no quadratic inversion count."""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(plethy.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "plethy.cli", "quotient", nu, "--d", str(d)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"nu": nu, "d": d, "core": "", "quotient": quotient, "sign": 1}
+
 
 class TestVerifyCommand:
     def test_single_sweep_payload(self, capsys):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+import plethy.mn
 from plethy import (
+    CharCache,
     ClassFunction,
     SymFunc,
     boxplus,
@@ -14,6 +16,7 @@ from plethy import (
     check_partition,
     format_rational,
     hall_inner,
+    mn_value,
     multiply,
     parse_rational,
     partitions_of,
@@ -175,6 +178,40 @@ class TestTransitions:
 
     def test_to_power_accepts_schur_basis(self):
         assert to_power({(2, 1): 3}).terms == (3 * schur_to_power((2, 1))).terms
+
+
+def refuse_mn_value(*args, **kwargs):
+    raise AssertionError("power_to_schur called mn_value")
+
+
+class TestPowerToSchurRows:
+    """power_to_schur reads each lam's values at f's support from one unchecked
+    row read, with no checked mn_value call per (lam, mu)."""
+
+    def test_makes_no_mn_value_call(self, monkeypatch):
+        f = schur_to_power((3, 1)) + 2 * SymFunc.power((2, 2)) + SymFunc.power((1,)) + SymFunc.power(())
+        monkeypatch.setattr(plethy.mn, "mn_value", refuse_mn_value)
+        assert power_to_schur(f) == oracles.fraction_power_to_schur(f.terms)
+
+    @settings(max_examples=60, deadline=None)
+    @given(symfuncs_to_6)
+    def test_cold_memo_holds_the_support_states_only(self, f):
+        """Reading full rows would also store the states of classes outside
+        the support; the memo must be what mn_value at the support leaves."""
+        cache, expected = CharCache(), CharCache()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(plethy.mn, "mn_value", refuse_mn_value)
+            power_to_schur(f, cache)
+        for n in f.degrees():
+            for lam in partitions_of(n):
+                for mu in f.values:
+                    if sum(mu) == n:
+                        mn_value(lam, mu, expected)
+
+        def keys(memo):
+            return {rho: set(table) for rho, table in memo._values.items() if table}
+
+        assert keys(cache) == keys(expected)
 
 
 class TestMultiply:
