@@ -133,8 +133,14 @@ def schur_to_power(lam: Partition, cache: mn.CharCache | None = None) -> SymFunc
 
 
 def to_power(schur: Mapping[Partition, Fraction | int], cache: mn.CharCache | None = None) -> SymFunc:
-    """Power-sum expansion of a Schur expansion; inverse of power_to_schur."""
-    return sum((coeff * schur_to_power(lam, cache) for lam, coeff in schur.items()), SymFunc())
+    """Power-sum expansion of a Schur expansion; inverse of power_to_schur.
+    Sums coefficient times character row into one dict of class values."""
+    out: dict[Partition, int | Fraction] = {}
+    for lam, coeff in schur.items():
+        coeff = _exact(Fraction(coeff))
+        for mu, value in schur_to_power(lam, cache).values.items():
+            out[mu] = out.get(mu, 0) + coeff * value
+    return SymFunc._of(out)
 
 
 def power_to_schur(f: SymFunc, cache: mn.CharCache | None = None) -> dict[Partition, Fraction]:
@@ -176,10 +182,22 @@ def power_d(f: SymFunc, d: int) -> SymFunc:
     return result
 
 
-def hall_inner(f: SymFunc, g: SymFunc) -> Fraction:
-    """Hall inner product; power sums are orthogonal with squared norm z_mu."""
-    common = f.values.keys() & g.values.keys()
-    return sum((Fraction(f.values[mu] * g.values[mu], centralizer_order(mu)) for mu in common), Fraction(0))
+def hall_inner(f: SymFunc, g: SymFunc) -> int | Fraction:
+    """Hall inner product; power sums are orthogonal with squared norm z_mu.
+
+    Sums F_mu * G_mu / z_mu over the classes of the smaller operand, in ints
+    where z_mu divides and a Fraction for each nonzero remainder; an int when
+    the pairing is integral."""
+    small, large = sorted((f.values, g.values), key=len)
+    whole, rest = 0, 0
+    for mu, value in small.items():
+        if mu in large:
+            z_mu = centralizer_order(mu)
+            quotient, remainder = divmod(value * large[mu], z_mu)
+            whole += quotient
+            if remainder:
+                rest += Fraction(remainder, z_mu)
+    return whole + _exact(rest)
 
 
 def psi_d(f: SymFunc, d: int) -> SymFunc:

@@ -26,6 +26,7 @@ The headline checks:
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from collections import Counter
@@ -363,17 +364,18 @@ def _oracle_input(lam: Partition, mu: Partition, d: int) -> tuple[Partition, Par
     return lam, mu, n
 
 
-def hall_summation_oracle(lam: Partition, mu: Partition, d: int, cache: CharCache | None = None) -> Fraction:
+def hall_summation_oracle(lam: Partition, mu: Partition, d: int, cache: CharCache | None = None) -> int | Fraction:
     """Sum over ordered d-tuples of partitions of n with multiset union mu of
     the centralizer ratio times the product of small character values,
     accumulated orbit by orbit under rearrangement of the tuples.
 
     Independent route to the subdivided character at the d-scaled class of
     mu: it needs only characters of the small symmetric group.  Empty sum
-    (zero) when mu has a part larger than n.
+    (zero) when mu has a part larger than n.  An int; a Fraction only where
+    a centralizer ratio is not integral, which a correct z never gives.
     """
     lam, mu, n = _oracle_input(lam, mu, d)
-    return _oracle(_row(lam, partitions_of(n), cache), mu, n, d)[0]
+    return _oracle(_row(lam, partitions_of(n), cache), mu, _orbits(mu, n, d), d)[0]
 
 
 def orbit_divisibility_check(
@@ -390,53 +392,65 @@ def orbit_divisibility_check(
     start = time.perf_counter()
     lam, mu, n = _oracle_input(lam, mu, d)
     params = {"lambda": format_partition(lam), "mu": format_partition(mu), "d": d}
-    _, orbits, failures = _oracle(_row(lam, partitions_of(n), cache), mu, n, d)
+    orbits = _orbits(mu, n, d)
+    _, failures = _oracle(_row(lam, partitions_of(n), cache), mu, orbits, d)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
-    return VerificationReport(HALL_ORACLE, params, orbits, failures, elapsed_ms)
+    return VerificationReport(HALL_ORACLE, params, len(orbits), failures, elapsed_ms)
 
 
-def _oracle(row: dict[Partition, int], mu: Partition, n: int, d: int) -> tuple[Fraction, int, list]:
-    """The tuple sum of hall_summation_oracle, the number of orbits and the
-    failures of orbit_divisibility_check, from one walk over the ordered
-    tuples, for the character row of a lam of n and a checked mu of d*n.
+def _orbits(mu: Partition, n: int, d: int) -> list[tuple[tuple[Partition, ...], int]]:
+    """The rearrangement orbits of the ordered d-tuples of partitions of n
+    with multiset union mu, from one walk: (sorted representative, number of
+    tuples walked), in sort_key order of the representatives."""
+    sizes = Counter(tuple(sorted(tup, key=sort_key)) for tup in _ordered_tuples(mu, n, d))
+    return sorted(sizes.items(), key=lambda item: tuple(sort_key(piece) for piece in item[0]))
+
+
+def _oracle(
+    row: dict[Partition, int], mu: Partition, orbits: list[tuple[tuple[Partition, ...], int]], d: int
+) -> tuple[int | Fraction, list]:
+    """The tuple sum of hall_summation_oracle and the failures of
+    orbit_divisibility_check, for the character row of a lam of n, a checked
+    mu of d*n and the _orbits of mu.
 
     The sum weights each orbit by its walked size, not the multinomial, so
     the orbit-size check stays independent of it.
     """
     z_mu = centralizer_order(mu)
-    sizes = Counter(tuple(sorted(tup, key=sort_key)) for tup in _ordered_tuples(mu, n, d))
-    total = Fraction(0)
+    d_factorial = math.factorial(d)
+    total = 0
     failures = []
-    for rep in sorted(sizes, key=lambda r: tuple(sort_key(piece) for piece in r)):
-        size = sizes[rep]
+    for rep, size in orbits:
         sigma = multiplicity_pattern(rep)
         sigma_factorial = math.prod(math.factorial(s) for s in sigma)
-        expected_size = math.factorial(d) // sigma_factorial
-        rep_text = [format_partition(piece) for piece in rep]
+        expected_size = d_factorial // sigma_factorial
         if size != expected_size:
             failures.append({
-                "orbit": rep_text,
+                "orbit": list(map(format_partition, rep)),
                 "relation": "orbit size = multinomial of sigma",
                 "size": size,
                 "expected": expected_size,
             })
-        ratio = Fraction(z_mu, math.prod(centralizer_order(piece) for piece in rep))
-        if ratio.denominator != 1 or ratio % sigma_factorial != 0:
+        z_rep = math.prod(centralizer_order(piece) for piece in rep)
+        ratio, remainder = divmod(z_mu, z_rep)
+        if remainder:
+            ratio = Fraction(z_mu, z_rep)
+        if ratio % sigma_factorial:
             failures.append({
-                "orbit": rep_text,
+                "orbit": list(map(format_partition, rep)),
                 "relation": "centralizer ratio is an integer divisible by the sigma factorials",
                 "ratio": symfunc.format_rational(ratio),
                 "sigma": format_partition(sigma),
             })
         contribution = size * ratio * math.prod(row[piece] for piece in rep)
         total += contribution
-        if contribution.denominator != 1 or contribution % math.factorial(d) != 0:
+        if contribution % d_factorial:
             failures.append({
-                "orbit": rep_text,
-                "relation": f"orbit contribution divisible by {math.factorial(d)}",
+                "orbit": list(map(format_partition, rep)),
+                "relation": f"orbit contribution divisible by {d_factorial}",
                 "contribution": symfunc.format_rational(contribution),
             })
-    return total, len(sizes), failures
+    return total, failures
 
 
 def verify_hall_oracle(
@@ -447,17 +461,19 @@ def verify_hall_oracle(
     cache: CharCache | None = None,
 ) -> VerificationReport:
     """Check the tuple-summation oracle against ribbon stripping, plus the
-    per-orbit divisibility, over every lambda of n and mu of d*n."""
+    per-orbit divisibility, over every lambda of n and mu of d*n.  The
+    orbits of each mu do not depend on lambda: they are walked once."""
     check_limit("n", n, max_n)
     check_limit("d", d, max_d)
     mus = partitions_of(d * n)
+    orbits = functools.cache(lambda mu: _orbits(mu, n, d))
 
     def check(lam: Partition) -> tuple[int, list]:
         failures = []
         big = boxplus(lam, d)
         row = _row(lam, partitions_of(n), cache)
         for mu in mus:
-            oracle, _, orbit_failures = _oracle(row, mu, n, d)
+            oracle, orbit_failures = _oracle(row, mu, orbits(mu), d)
             stripped = mn_value(big, scale(mu, d), cache)
             if oracle != stripped:
                 failures.append({

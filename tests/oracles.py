@@ -20,10 +20,11 @@ genuine cross-check rather than a tautology:
   off bead masks, kept to test those differentially;
 * count_partitions: partition counts by capped-part dynamic programming;
 * fraction_multiply, fraction_hall_inner, fraction_power_to_schur,
-  fraction_psi_d, fraction_phi_d_power: the symmetric-function layer on
-  {partition: Fraction} power-sum coefficients, as the package had it
-  before it stored class values, kept to test those differentially
-  (fraction_power_to_schur reads the tabloid table, not ribbon stripping).
+  fraction_to_power, fraction_psi_d, fraction_phi_d_power: the
+  symmetric-function layer on {partition: Fraction} power-sum coefficients,
+  as the package had it before it stored class values and paired them in
+  ints, kept to test those differentially (fraction_power_to_schur and
+  fraction_to_power read the tabloid table, not ribbon stripping).
 """
 
 from fractions import Fraction
@@ -307,6 +308,16 @@ def fraction_power_to_schur(f: dict) -> dict:
             if coeff:
                 out[lam] = coeff
     return out
+
+
+def fraction_to_power(schur: dict) -> dict:
+    """Power-sum expansion of a Schur expansion: the sum over lam of its
+    coefficient times s_lam, whose coefficient at p_mu is chi^lam_mu / z_mu."""
+    out = {}
+    for lam, coeff in schur.items():
+        for mu, chi in _tabloid_table(sum(lam))[lam].items():
+            out[mu] = out.get(mu, Fraction(0)) + Fraction(coeff) * chi / z_order(mu)
+    return {mu: c for mu, c in out.items() if c}
 
 
 def fraction_psi_d(f: dict, d: int) -> dict:

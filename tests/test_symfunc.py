@@ -51,6 +51,13 @@ symfuncs_to_6 = st.dictionaries(
 ).map(SymFunc)
 
 
+schur_expansions_to_6 = st.dictionaries(
+    st.integers(min_value=0, max_value=6).flatmap(lambda n: st.sampled_from(partitions_of(n))),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    max_size=5,
+)
+
+
 def random_homogeneous(rng: random.Random, degree: int) -> SymFunc:
     terms = {}
     for mu in partitions_of(degree):
@@ -260,6 +267,22 @@ class TestHallInner:
                     value = hall_inner(schur_to_power(lam), schur_to_power(mu))
                     assert value == (1 if lam == mu else 0)
 
+    def test_integral_pairings_are_ints(self):
+        # <s_lam, p_mu> is a character value; <s_lam, s_mu> sums remainders
+        # (for s_2 with itself, 1/2 + 1/2) to an integer.
+        for n in range(7):
+            for lam in partitions_of(n):
+                s_lam = schur_to_power(lam)
+                for mu in partitions_of(n):
+                    assert type(hall_inner(s_lam, SymFunc._of({mu: centralizer_order(mu)}))) is int
+                    assert type(hall_inner(s_lam, schur_to_power(mu))) is int
+
+    def test_nonintegral_pairing_is_a_fraction(self):
+        value = hall_inner(SymFunc.power((2,)), SymFunc.power((2,), Fraction(1, 4)))
+        assert (type(value), value) == (Fraction, Fraction(1, 2))
+        value = hall_inner(SymFunc.power((2,)) + SymFunc.power((1, 1)), SymFunc.power((2,), Fraction(1, 4)))
+        assert (type(value), value) == (Fraction, Fraction(1, 2))
+
     def test_mixed_degrees_pair_componentwise(self):
         f = SymFunc.power((1,)) + SymFunc.power((2,))
         assert hall_inner(f, f) == 1 + 2
@@ -371,6 +394,19 @@ class TestAgainstFractionLayer:
     def test_hall_inner(self, f, g):
         for h in (g, f, f + g):
             assert hall_inner(f, h) == oracles.fraction_hall_inner(f.terms, h.terms)
+
+    @settings(max_examples=80, deadline=None)
+    @given(symfuncs_to_6, symfuncs_to_6)
+    def test_hall_inner_is_symmetric_and_an_int_when_integral(self, f, g):
+        for h in (g, f, f + g):
+            value = hall_inner(f, h)
+            assert hall_inner(h, f) == value
+            assert type(value) is (int if value.denominator == 1 else Fraction)
+
+    @settings(max_examples=80, deadline=None)
+    @given(schur_expansions_to_6)
+    def test_to_power(self, schur):
+        assert to_power(schur).terms == oracles.fraction_to_power(schur)
 
     @settings(max_examples=60, deadline=None)
     @given(symfuncs_to_6)

@@ -40,5 +40,11 @@ def test_installed_tracer_counts_every_layer():
         "symfunc.power_d",
         "symfunc.hall_inner",
         "characters.direct",
+        # Read by the per-layer metrics of BENCHMARK.json.
+        "symfunc.to_power",
+        "symfunc.schur_to_power",
+        "symfunc.power_to_schur",
+        "characters.plethystic",
+        "characters.decompose",
     ):
         assert result["calls"].get(name, 0) > 0, name

@@ -222,6 +222,13 @@ class TestHallSummation:
                     for mu in partitions_of(d * n):
                         assert hall_summation_oracle(lam, mu, d) == mn_value(big, scale(mu, d))
 
+    def test_values_are_ints(self):
+        for n in (1, 2, 3):
+            for lam in partitions_of(n):
+                for mu in partitions_of(2 * n):
+                    assert type(hall_summation_oracle(lam, mu, 2)) is int, (lam, mu)
+        assert type(hall_summation_oracle((), (), 3)) is int
+
     @pytest.mark.parametrize("oracle", [hall_summation_oracle, orbit_divisibility_check])
     def test_lambda_is_checked_once(self, oracle, monkeypatch):
         import plethy
@@ -294,6 +301,112 @@ class TestOrbitDivisibility:
                 assert mn_value(boxplus(lam, 2), scale(mu, 2)) % 2 == 0
 
 
+def pinned(failures):
+    """Failures as key-value lists, so the key order (the JSON order) is pinned too."""
+    return [list(failure.items()) for failure in failures]
+
+
+class TestOrbitFailureOutput:
+    """Each orbit relation, forced to fail, reports its exact text.  For
+    lambda = (2) and mu = (2, 1, 1) at d = 2 the one orbit is {(2), (1, 1)},
+    walked twice, with centralizer ratio z_(2,1,1) / (z_(2) z_(1,1)) = 4/4."""
+
+    ORBIT = ("orbit", ["2", "1,1"])
+
+    def test_orbit_size(self, monkeypatch):
+        # One tuple walked a third time: the size check and, with it, the
+        # contribution check fail.
+        def walk(mu, n, d, _walk=_ordered_tuples):
+            tuples = _walk(mu, n, d)
+            return tuples + tuples[:1] if d == 2 else tuples
+
+        monkeypatch.setattr(verify_mod, "_ordered_tuples", walk)
+        report = orbit_divisibility_check((2,), (2, 1, 1), 2)
+        assert (report.status, report.cases_checked) == ("FAIL", 1)
+        assert pinned(report.failures) == [
+            [self.ORBIT, ("relation", "orbit size = multinomial of sigma"), ("size", 3), ("expected", 2)],
+            [self.ORBIT, ("relation", "orbit contribution divisible by 2"), ("contribution", "3")],
+        ]
+        assert hall_summation_oracle((2,), (2, 1, 1), 2) == 3
+
+    def test_centralizer_ratio(self, monkeypatch):
+        # z_(2,1,1) read as 14 makes the ratio 7/2 and the contribution 2 * 7/2 = 7.
+        real = verify_mod.centralizer_order
+        monkeypatch.setattr(verify_mod, "centralizer_order", lambda mu: 14 if mu == (2, 1, 1) else real(mu))
+        report = orbit_divisibility_check((2,), (2, 1, 1), 2)
+        assert pinned(report.failures) == [
+            [
+                self.ORBIT,
+                ("relation", "centralizer ratio is an integer divisible by the sigma factorials"),
+                ("ratio", "7/2"),
+                ("sigma", "1,1"),
+            ],
+            [self.ORBIT, ("relation", "orbit contribution divisible by 2"), ("contribution", "7")],
+        ]
+        assert hall_summation_oracle((2,), (2, 1, 1), 2) == 7
+
+    def test_integral_ratio_not_divisible_by_sigma_factorials(self, monkeypatch):
+        # mu = (1, 1, 1, 1): the one orbit is {(1, 1), (1, 1)} with sigma = (2);
+        # z_mu read as 4 makes the ratio 1, which 2! does not divide.
+        real = verify_mod.centralizer_order
+        monkeypatch.setattr(verify_mod, "centralizer_order", lambda mu: 4 if mu == (1, 1, 1, 1) else real(mu))
+        report = orbit_divisibility_check((2,), (1, 1, 1, 1), 2)
+        orbit = ("orbit", ["1,1", "1,1"])
+        assert pinned(report.failures) == [
+            [
+                orbit,
+                ("relation", "centralizer ratio is an integer divisible by the sigma factorials"),
+                ("ratio", "1"),
+                ("sigma", "2"),
+            ],
+            [orbit, ("relation", "orbit contribution divisible by 2"), ("contribution", "1")],
+        ]
+
+    def test_contribution(self, monkeypatch):
+        # A character value of 1/3 at (2) leaves size and ratio intact and
+        # makes the contribution 2 * 1 * 1/3 * 1 = 2/3.
+        row = verify_mod._row
+        monkeypatch.setattr(verify_mod, "_row", lambda lam, classes, cache: {**row(lam, classes, cache), (2,): Fraction(1, 3)})
+        report = orbit_divisibility_check((2,), (2, 1, 1), 2)
+        assert pinned(report.failures) == [
+            [self.ORBIT, ("relation", "orbit contribution divisible by 2"), ("contribution", "2/3")],
+        ]
+        assert hall_summation_oracle((2,), (2, 1, 1), 2) == Fraction(2, 3)
+
+    def test_sweep_tags_orbit_failures_with_lambda_and_mu(self, monkeypatch):
+        real = verify_mod.centralizer_order
+        monkeypatch.setattr(verify_mod, "centralizer_order", lambda mu: 14 if mu == (2, 1, 1) else real(mu))
+        report = verify_hall_oracle(2, 2)
+        expected = []
+        for lam, sign in (("2", ""), ("1,1", "-")):
+            case = [("lambda", lam), ("mu", "2,1,1")]
+            expected += [
+                case + [("relation", "tuple summation = ribbon stripping"), ("summation", sign + "7"), ("stripping", sign + "2")],
+                [
+                    self.ORBIT,
+                    ("relation", "centralizer ratio is an integer divisible by the sigma factorials"),
+                    ("ratio", "7/2"),
+                    ("sigma", "1,1"),
+                ] + case,
+                [self.ORBIT, ("relation", "orbit contribution divisible by 2"), ("contribution", sign + "7")] + case,
+            ]
+        assert pinned(report.failures) == expected
+        assert report.cases_checked == len(partitions_of(2)) * len(partitions_of(4))
+
+
+def count_walks(monkeypatch):
+    """The d of every _ordered_tuples call.  The recursion calls itself with
+    d - 1, so at d = 2 only the d = 2 calls are walks."""
+    walks = []
+
+    def counting(mu, n, d, _walk=_ordered_tuples):
+        walks.append(d)
+        return _walk(mu, n, d)
+
+    monkeypatch.setattr(verify_mod, "_ordered_tuples", counting)
+    return walks
+
+
 class TestHallOracleSweep:
     def test_small_sweeps_pass(self):
         for n in (1, 2):
@@ -302,17 +415,18 @@ class TestHallOracleSweep:
                 assert report.status == "PASS", (n, d, report.failures)
                 assert report.cases_checked == len(partitions_of(n)) * len(partitions_of(d * n))
 
-    def test_one_tuple_walk_per_pair(self, monkeypatch):
-        # The recursion calls itself with d - 1, so only d = 2 calls are walks.
-        walks = []
-
-        def counting(mu, n, d, _walk=_ordered_tuples):
-            walks.append(d)
-            return _walk(mu, n, d)
-
-        monkeypatch.setattr(verify_mod, "_ordered_tuples", counting)
+    def test_one_tuple_walk_per_mu(self, monkeypatch):
+        # The orbits of mu do not depend on lambda, so every lambda shares one walk.
+        walks = count_walks(monkeypatch)
         assert verify_hall_oracle(2, 2).status == "PASS"
-        assert walks.count(2) == len(partitions_of(2)) * len(partitions_of(4))
+        assert walks.count(2) == len(partitions_of(4))
+
+    @pytest.mark.parametrize("oracle", [hall_summation_oracle, orbit_divisibility_check])
+    def test_public_oracles_walk_once_per_call(self, oracle, monkeypatch):
+        walks = count_walks(monkeypatch)
+        for lam in partitions_of(2):
+            oracle(lam, (2, 1, 1), 2)
+        assert walks.count(2) == len(partitions_of(2))
 
     def test_limits(self):
         with pytest.raises(ValueError, match="n = 4 exceeds the limit 3"):
