@@ -4,6 +4,8 @@ The recursion always strips a ribbon whose length is the largest remaining
 part of the cycle type.  Any fixed part order yields the same value;
 largest-first shrinks the recursion tree fastest, and makes intermediate cycle
 types suffixes of the one asked for, each with one memo table {bead mask: value}.
+Those recursion states stay in memory; the cache file keeps only the answers
+asked for at the entry points (mn_value, character_row and their callers).
 """
 
 from __future__ import annotations
@@ -35,31 +37,39 @@ class CharCache:
     A pure memo: entries re-derived from scratch are always identical, so a
     stale, damaged or deleted file never changes results, only speed.
 
-    With a path, the file is loaded wholesale on construction.  The format
-    is one entry per line, ``<nu parts>|<rho parts>=<decimal integer>``,
+    With a path, the file is loaded wholesale on construction, and the cache
+    records the answers its entry points are asked for: the pairs given to
+    mn_value and put, and each (shape, class) of a character row.  Recursion
+    states reached on the way stay in the memo only.  The format is one
+    entry per line, ``<nu parts>|<rho parts>=<decimal integer>``,
     e.g. ``4,4|2,2,2,2=6``.  Loading skips malformed lines (garbage, a last
     line without its newline, |nu| != |rho|); it fails only when two lines
     give one pair different values.  file_stats holds the loaded file's
     bytes, lines, duplicate_lines, malformed_lines and largest_n (the
-    largest size of a loaded entry), all 0 without a file.  flush()
-    rewrites the file as the sorted union of memory and disk through a
-    temporary file and os.replace, so its bytes do not depend on the order
-    of computation and a crash leaves the old file or the new one, never a
-    torn line.  Of two concurrent flushes the last one wins; entries only
-    the other one wrote are recomputed when next needed.  Inside, shapes
-    are bead masks (abacus.encode_mask); get/put take partitions and check
-    them like mn_value.
+    largest size of a loaded entry), all 0 without a file.  flush() does
+    nothing unless an answer is missing from the file as last loaded or
+    flushed; then it rewrites the file as the sorted union of what is on
+    disk now (the recursion states of older files included) and the
+    answers, through a temporary file and os.replace, so its bytes do not
+    depend on the order of computation and a crash leaves the old file or
+    the new one, never a torn line.  Of two concurrent flushes the last one
+    wins; entries only the other one wrote are recomputed when next needed.
+    Inside, shapes are bead masks (abacus.encode_mask); get/put take
+    partitions and check them like mn_value.
     """
 
     def __init__(self, path: str | os.PathLike | None = None):
         self.path = os.fspath(path) if path is not None else None
         self._values: defaultdict[Partition, dict[int, int]] = defaultdict(dict)
         self.file_stats = dict.fromkeys(_FILE_STATS, 0)
+        # By cycle type: the bead masks of the file as last loaded or
+        # flushed, and the answers asked since that it lacks.  None without
+        # a path, where nothing is recorded.
+        self._on_disk = self._unsaved = None
         if self.path is not None:
             with contextlib.suppress(FileNotFoundError):
                 self.file_stats = _read(self.path, self._values)
-        # len(self) at the last load or flush: more means entries to write.
-        self._saved = len(self)
+            self._on_disk, self._unsaved = _masks(self._values), defaultdict(set)
 
     def get(self, nu: Partition, rho: Partition) -> int | None:
         mask, rho = _key(nu, rho)
@@ -68,23 +78,50 @@ class CharCache:
     def put(self, nu: Partition, rho: Partition, value: int) -> None:
         mask, rho = _key(nu, rho)
         self._values[rho].setdefault(mask, value)
+        if self._unsaved is not None:
+            self._asked(mask, (rho,))
+
+    def _asked(self, mask: int, rhos: Iterable[Partition]) -> None:
+        """Record the answers (mask, rho), rho in rhos, that the file lacks.
+        Never the empty shape: the memo does not hold it, so no flush could
+        write it."""
+        if mask:
+            on_disk, unsaved = self._on_disk, self._unsaved
+            for rho in rhos:
+                if mask not in on_disk.get(rho, ()):
+                    unsaved[rho].add(mask)
 
     def flush(self) -> None:
-        """If entries were added since the last load or flush, merge in what
-        is on disk now and atomically rewrite the file, one sorted line per entry."""
-        if self.path is None or len(self) == self._saved:
+        """If an answer asked since the last load or flush is missing from the
+        file, merge in what is on disk now and atomically rewrite the file,
+        one sorted line per answer or line already there."""
+        if not self._unsaved:
             return
+        found: defaultdict[Partition, dict[int, int]] = defaultdict(dict)
         with contextlib.suppress(FileNotFoundError):
-            _read(self.path, self._values)
+            _read(self.path, found)
+        for rho, table in found.items():
+            memo = self._values[rho]
+            for mask, value in table.items():
+                known = memo.setdefault(mask, value)
+                if known != value:
+                    line = f"{format_partition(decode_mask(mask))}|{format_partition(rho)}={value}"
+                    raise CacheFormatError(
+                        f"{self.path}: conflicting values {known} and {value} for {line!r}{_CLEAR_HINT}"
+                    )
+        on_disk = _masks(found)
+        for rho, masks in self._unsaved.items():
+            on_disk[rho].update(masks)
         nu_texts: dict[int, str] = {}
         lines = []
-        for rho, table in self._values.items():
+        for rho, masks in on_disk.items():
             rho_text = format_partition(rho)
-            for mask, value in table.items():
+            table = self._values[rho]
+            for mask in masks:
                 nu_text = nu_texts.get(mask)
                 if nu_text is None:
                     nu_text = nu_texts[mask] = format_partition(decode_mask(mask))
-                lines.append(f"{nu_text}|{rho_text}={value}\n")
+                lines.append(f"{nu_text}|{rho_text}={table[mask]}\n")
         lines.sort()
         directory, name = os.path.split(self.path)
         if directory:
@@ -100,13 +137,15 @@ class CharCache:
         except BaseException:
             os.remove(temp)
             raise
-        self._saved = len(self)
+        self._on_disk, self._unsaved = on_disk, defaultdict(set)
 
     def clear(self) -> None:
         self._values.clear()
-        self._saved = 0
-        if self.path is not None and os.path.exists(self.path):
-            os.remove(self.path)
+        if self.path is not None:
+            self._on_disk.clear()
+            self._unsaved.clear()
+            if os.path.exists(self.path):
+                os.remove(self.path)
 
     def __len__(self) -> int:
         return sum(map(len, self._values.values()))
@@ -156,6 +195,11 @@ def _read(path: str, values: defaultdict[Partition, dict[int, int]]) -> dict[str
     return dict(zip(_FILE_STATS, (size, lineno, duplicates, malformed, largest)))
 
 
+def _masks(values: dict[Partition, dict[int, int]]) -> defaultdict[Partition, set[int]]:
+    """The bead masks of each table in values, by cycle type."""
+    return defaultdict(set, {rho: set(table) for rho, table in values.items()})
+
+
 _default_cache = CharCache()
 
 
@@ -176,9 +220,15 @@ def mn_value(nu: Partition, rho: Partition, cache: CharCache | None = None) -> i
 
     Exact integer; |nu| must equal |rho|.  Values are memoized (including
     every intermediate pair the recursion touches) through the given cache,
-    or the process-wide default.
+    or the process-wide default; a cache with a path records the pair as an
+    answer to persist.
     """
-    return _mn(*_key(nu, rho), (cache if cache is not None else _default_cache)._values)
+    mask, rho = _key(nu, rho)
+    cache = cache if cache is not None else _default_cache
+    value = _mn(mask, rho, cache._values)
+    if cache._unsaved is not None:
+        cache._asked(mask, (rho,))
+    return value
 
 
 def character_row(lam: Partition, cache: CharCache | None = None) -> dict[Partition, int]:
@@ -188,9 +238,14 @@ def character_row(lam: Partition, cache: CharCache | None = None) -> dict[Partit
 
 
 def _row(lam: Partition, classes: Iterable[Partition], cache: CharCache | None) -> dict[Partition, int]:
-    """character_row over the given classes, all of size |lam|, in their order; checks nothing."""
-    mask, values = encode_mask(lam), (cache if cache is not None else _default_cache)._values
-    return {mu: _mn(mask, mu, values) for mu in classes}
+    """character_row over the given classes, all of size |lam|, in their order;
+    checks nothing, and records the row's pairs as answers like mn_value."""
+    cache = cache if cache is not None else _default_cache
+    mask, values = encode_mask(lam), cache._values
+    row = {mu: _mn(mask, mu, values) for mu in classes}
+    if cache._unsaved is not None:
+        cache._asked(mask, row)
+    return row
 
 
 def _mn(mask: int, rho: Partition, values: defaultdict[Partition, dict[int, int]]) -> int:

@@ -387,10 +387,13 @@ def orbit_divisibility_check(
     with multiplicity pattern sigma: the centralizer ratio is an integer
     divisible by the product of the sigma_i factorials, the orbit size is
     the multinomial d!/(sigma_1!...sigma_r!), and the orbit's total
-    contribution is divisible by d!.
+    contribution is divisible by d!.  Needs n >= 1: for lam = () the single
+    empty tuple contributes 1, which d! does not divide for d >= 2.
     """
     start = time.perf_counter()
     lam, mu, n = _oracle_input(lam, mu, d)
+    if not n:
+        raise ValueError("the divisibility check needs |lambda| >= 1, got lambda = ()")
     params = {"lambda": format_partition(lam), "mu": format_partition(mu), "d": d}
     orbits = _orbits(mu, n, d)
     _, failures = _oracle(_row(lam, partitions_of(n), cache), mu, orbits, d)

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -530,9 +531,9 @@ class TestCacheCommand:
 
 VERIFY_ALL_SHA256 = "e619eef16c8de42c8f47d0066965e675b9350cf83cf9982de85e8e2267cedf47"
 # The cache file that `verify all` then `table 8` write to a fresh path:
-# one line per entry, sorted as strings.
-VERIFY_ALL_TABLE_8_CACHE_SHA256 = "46aca8524d7a8e11af7d990babd9fc83883e9df65fdfcc41a5f38caf754b4715"
-VERIFY_ALL_TABLE_8_CACHE_ENTRIES = 6024
+# one line per answer the two commands asked for, sorted as strings.
+VERIFY_ALL_TABLE_8_CACHE_SHA256 = "a5e70f7e57475accc0354f87dda5c06c9c5c37c21e3b625355467ae9c0c39510"
+VERIFY_ALL_TABLE_8_CACHE_ENTRIES = 1786
 
 
 class TestDeterminism:
@@ -598,3 +599,31 @@ class TestDeterminism:
                 assert run_cli(capsys, "--config", str(cfg), *command.split())[0] == 0
             files.append(cache_path.read_bytes())
         assert files[0] == files[1]
+
+
+class TestCacheFileGate:
+    """The cache-file checks of the benchmark's CLI workload, on a smaller seed."""
+
+    def test_write_and_read_against_a_seed_file(self, capsys, tmp_path):
+        paths = {}
+        for role in ("seed", "write", "read"):
+            paths[role] = tmp_path / f"{role}.txt"
+            write_config(tmp_path / f"{role}.cfg", cache_path=str(paths[role]))
+
+        def verify_all(role):
+            code, out, err = run_cli(capsys, "--config", str(tmp_path / f"{role}.cfg"), "verify", "all")
+            assert (code, err) == (0, "")
+            return out
+
+        assert run_cli(capsys, "--config", str(tmp_path / "seed.cfg"), "table", "8")[0] == 0
+        verify_all("seed")
+        lines = paths["seed"].read_bytes().splitlines(keepends=True)
+        verify_all("write")
+        assert set(paths["write"].read_bytes().splitlines(keepends=True)) <= set(lines)
+        random.Random(21).shuffle(lines)
+        paths["read"].write_bytes(b"".join(lines))
+        os.utime(paths["read"], ns=(10**18, 10**18))
+        out = verify_all("read")
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256
+        assert paths["read"].read_bytes() == b"".join(lines)
+        assert paths["read"].stat().st_mtime_ns == 10**18

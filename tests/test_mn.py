@@ -347,3 +347,88 @@ class TestCharCache:
             t.join()
         assert not errors
         assert all(result == expected for result in results)
+
+
+class TestAnswersOnly:
+    """The cache file keeps the answers asked for, not the recursion states."""
+
+    def test_one_answer_flushes_one_line(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        cache = CharCache(path)
+        value = mn_value((4, 4, 2, 2), (2,) * 6, cache)
+        assert len(cache) > 1
+        cache.flush()
+        assert path.read_text() == f"4,4,2,2|2,2,2,2,2,2={value}\n"
+        assert len(cache) > 1 and len(CharCache(path)) == 1
+
+    def test_rows_and_puts_are_answers(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        cache = CharCache(path)
+        row = character_row((2, 1), cache)
+        cache.put((2, 2), (2, 2), 2)
+        cache.flush()
+        reloaded = CharCache(path)
+        assert len(reloaded) == len(row) + 1
+        assert {mu: reloaded.get((2, 1), mu) for mu in row} == row
+        assert reloaded.get((2, 2), (2, 2)) == 2
+
+    def test_table_writes_one_line_per_entry(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        cache = CharCache(path)
+        table = character_table(6, cache=cache)
+        cache.flush()
+        assert len(path.read_text().splitlines()) == sum(map(len, table))
+
+    def test_lines_nobody_asked_for_survive_a_flush(self, tmp_path):
+        # A file of an older format holds recursion states too; they stay.
+        path = tmp_path / "cache.txt"
+        path.write_text("2|1,1=1\n2,1|2,1=-1\n")
+        cache = CharCache(path)
+        mn_value((3, 1), (2, 2), cache)
+        cache.flush()
+        assert path.read_text() == "2,1|2,1=-1\n2|1,1=1\n3,1|2,2=-1\n"
+
+    def test_the_empty_shape_is_never_an_answer(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        cache = CharCache(path)
+        assert mn_value((), (), cache) == 1
+        assert character_row((), cache) == {(): 1}
+        assert len(cache) == 0
+        cache.flush()
+        assert not path.exists()
+        mn_value((1,), (1,), cache)
+        cache.flush()
+        stamp = path.stat().st_mtime_ns
+        mn_value((), (), cache)
+        cache.flush()
+        assert path.read_text() == "1|1=1\n" and path.stat().st_mtime_ns == stamp
+
+    def test_cache_without_a_path_records_nothing(self):
+        cache = CharCache()
+        mn_value((3, 2, 1), (2, 2, 1, 1), cache)
+        character_row((2, 2), cache)
+        cache.put((2,), (2,), 1)
+        assert cache._unsaved is None and cache._on_disk is None
+        cache.flush()
+        assert len(cache) > 0
+
+    def test_answers_asked_again_after_clear_are_written(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        cache = CharCache(path)
+        mn_value((2, 2), (2, 2), cache)
+        cache.flush()
+        cache.clear()
+        cache.flush()
+        assert not path.exists()
+        mn_value((2, 2), (2, 2), cache)
+        cache.flush()
+        assert path.read_text() == "2,2|2,2=2\n"
+
+    def test_conflict_with_memory_names_the_line(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        cache = CharCache(path)
+        mn_value((2, 1), (3,), cache)
+        path.write_text("2,1|3=0\n")
+        with pytest.raises(CacheFormatError, match=r"conflicting values -1 and 0 for '2,1\|3=0'"):
+            cache.flush()
+        assert path.read_text() == "2,1|3=0\n"

@@ -214,6 +214,16 @@ class TestHallSummation:
         with pytest.raises(ValueError, match=f"d must be positive, got {d}"):
             oracle((), (), d)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_empty_lambda_sums_to_one(self, d):
+        # The single empty tuple: chi^() at the empty class is 1 for every d.
+        assert hall_summation_oracle((), (), d) == 1
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_divisibility_check_rejects_empty_lambda(self, d):
+        with pytest.raises(ValueError, match=r"needs \|lambda\| >= 1, got lambda = \(\)"):
+            orbit_divisibility_check((), (), d)
+
     def test_agrees_with_ribbon_stripping(self):
         for n in (1, 2, 3):
             for d in (2, 3):
