@@ -14,7 +14,6 @@ assumed by the types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
@@ -37,25 +36,26 @@ ROUTE_DIRECT = "direct"
 ROUTE_PLETHYSTIC = "plethystic"
 
 
-@dataclass(frozen=True)
 class ClassFunction:
     """Level n plus a total map {partitions of n} -> int, or Fraction where not integral."""
 
-    n: int
-    values: dict[Partition, int | Fraction] = field(default_factory=dict)
-
-    def __post_init__(self):
-        expected = partitions_of(self.n)
+    def __init__(self, n: int, values: Mapping[Partition, Fraction | int] | None = None):
+        values = values or {}
+        expected = partitions_of(n)
         coerced = {}
         for mu in expected:
-            if mu not in self.values:
-                raise ValueError(f"class function of level {self.n} missing value at {mu}")
-            value = self.values[mu]
+            if mu not in values:
+                raise ValueError(f"class function of level {n} missing value at {mu}")
+            value = values[mu]
             coerced[mu] = value if type(value) is int else _exact(Fraction(value))
-        if len(self.values) != len(expected):
-            extra = set(self.values) - set(expected)
-            raise ValueError(f"class function of level {self.n} has spurious keys {sorted(extra)}")
-        object.__setattr__(self, "values", coerced)
+        if len(values) != len(expected):
+            extra = set(values) - set(expected)
+            raise ValueError(f"class function of level {n} has spurious keys {sorted(extra)}")
+        self.n = n
+        self.values: dict[Partition, int | Fraction] = coerced
+
+    def __eq__(self, other: object) -> bool:
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
 
     @classmethod
     def from_partial(cls, n: int, values: Mapping[Partition, Fraction | int]) -> "ClassFunction":
@@ -133,9 +133,9 @@ def induction_product(phi: ClassFunction, psi: ClassFunction) -> ClassFunction:
     return ch_inverse(symfunc.multiply(ch(phi), ch(psi)), phi.n + psi.n)
 
 
-def decompose(phi: ClassFunction, cache: CharCache | None = None) -> dict[Partition, Fraction]:
+def decompose(phi: ClassFunction, cache: CharCache | None = None) -> dict[Partition, int | Fraction]:
     """Multiplicities of the irreducible characters in phi, in sort_key
-    order; zeros omitted."""
+    order; zeros omitted; an int where integral, a Fraction otherwise."""
     return symfunc.power_to_schur(ch(phi), cache)
 
 

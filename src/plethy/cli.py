@@ -12,7 +12,6 @@ inputs produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -98,6 +97,7 @@ def cmd_table(args: argparse.Namespace, config: Config, cache: CharCache) -> int
     parts = partitions_of(args.n)
     fmt = args.format or config.output_format
     if fmt == "csv":
+        import csv
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["lambda"] + [format_partition(mu) for mu in parts])
@@ -131,6 +131,7 @@ def cmd_boxplus(args: argparse.Namespace, config: Config, cache: CharCache) -> i
     decomposition = {format_partition(nu): format_rational(m) for nu, m in mults.items()}
     fmt = args.format or config.output_format
     if fmt == "csv":
+        import csv
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["kind", "key", "value"])

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass, fields
 
 from .mn import DEFAULT_TABLE_LIMIT
 from .verify import (
@@ -24,6 +23,7 @@ from .verify import (
 OUTPUT_FORMATS = ("json", "csv")
 _INT_KEYS = ("max_table_n", "thm1_n", "thm1_d", "littlewood_size", "thm2_n", "thm2_d")
 _STR_KEYS = ("cache_path", "output_format")
+_KEYS = ("cache_path", *_INT_KEYS, "output_format")  # the order of to_text
 
 
 def default_cache_path() -> str:
@@ -31,26 +31,37 @@ def default_cache_path() -> str:
     return os.path.join(root, "plethy", "mn_cache.txt")
 
 
-@dataclass
 class Config:
-    cache_path: str = ""
-    max_table_n: int = DEFAULT_TABLE_LIMIT
-    thm1_n: int = DEFAULT_THM1_N
-    thm1_d: int = DEFAULT_THM1_D
-    littlewood_size: int = DEFAULT_LITTLEWOOD_SIZE
-    thm2_n: int = DEFAULT_THM2_N
-    thm2_d: int = DEFAULT_THM2_D
-    output_format: str = "json"
+    """The settings of one run."""
 
-    def __post_init__(self):
-        if not self.cache_path:
-            self.cache_path = default_cache_path()
+    def __init__(
+        self,
+        cache_path: str = "",
+        max_table_n: int = DEFAULT_TABLE_LIMIT,
+        thm1_n: int = DEFAULT_THM1_N,
+        thm1_d: int = DEFAULT_THM1_D,
+        littlewood_size: int = DEFAULT_LITTLEWOOD_SIZE,
+        thm2_n: int = DEFAULT_THM2_N,
+        thm2_d: int = DEFAULT_THM2_D,
+        output_format: str = "json",
+    ):
+        self.cache_path = cache_path or default_cache_path()
+        self.max_table_n = max_table_n
+        self.thm1_n = thm1_n
+        self.thm1_d = thm1_d
+        self.littlewood_size = littlewood_size
+        self.thm2_n = thm2_n
+        self.thm2_d = thm2_d
+        self.output_format = output_format
         self.validate()
+
+    def __eq__(self, other: object) -> bool:
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
 
     def validate(self) -> None:
         for name in _INT_KEYS:
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ValueError(f"config key {name} must be a positive integer, got {value!r}")
         if self.output_format not in OUTPUT_FORMATS:
             raise ValueError(
@@ -58,10 +69,7 @@ class Config:
             )
 
     def to_text(self) -> str:
-        lines = []
-        for spec in fields(self):
-            lines.append(f"{spec.name} = {getattr(self, spec.name)}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{name} = {getattr(self, name)}\n" for name in _KEYS)
 
 
 def parse_config(text: str) -> Config:

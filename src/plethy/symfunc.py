@@ -16,13 +16,12 @@ Other values stay exact Fractions; there is no floating point here.  The
 public constructor takes power-sum coefficients and checks every key, and
 SymFunc.terms gives them back as {mu: Fraction}; the module's own results
 are trusted and only drop zero values.  Schur expansions are plain
-{partition: Fraction} dicts (power_to_schur, to_power).
+{partition: int or Fraction} dicts (power_to_schur, to_power).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Mapping
@@ -43,7 +42,6 @@ from .partitions import (
 )
 
 
-@dataclass(frozen=True, init=False)
 class SymFunc:
     """Sparse class values {mu: F_mu}; zero values are never stored."""
 
@@ -52,14 +50,17 @@ class SymFunc:
     def __init__(self, terms: Mapping[Partition, Fraction | int] | None = None):
         """From power-sum coefficients {mu: [p_mu]f}; checks every key."""
         coeffs = {check_partition(key): Fraction(coeff) for key, coeff in (terms or {}).items()}
-        object.__setattr__(self, "values", {mu: _exact(c * centralizer_order(mu)) for mu, c in coeffs.items() if c})
+        self.values = {mu: _exact(c * centralizer_order(mu)) for mu, c in coeffs.items() if c}
 
     @classmethod
     def _of(cls, values: Mapping[Partition, int | Fraction]) -> "SymFunc":
         """Trusted construction from partition keys and class values: only drops zeros."""
         f = object.__new__(cls)
-        object.__setattr__(f, "values", {key: value for key, value in values.items() if value})
+        f.values = {key: value for key, value in values.items() if value}
         return f
+
+    def __eq__(self, other: object) -> bool:
+        return self.values == other.values if other.__class__ is self.__class__ else NotImplemented
 
     @functools.cached_property
     def terms(self) -> dict[Partition, Fraction]:
@@ -137,24 +138,27 @@ def to_power(schur: Mapping[Partition, Fraction | int], cache: mn.CharCache | No
     Sums coefficient times character row into one dict of class values."""
     out: dict[Partition, int | Fraction] = {}
     for lam, coeff in schur.items():
-        coeff = _exact(Fraction(coeff))
+        if type(coeff) is not int:
+            coeff = _exact(Fraction(coeff))
         for mu, value in schur_to_power(lam, cache).values.items():
             out[mu] = out.get(mu, 0) + coeff * value
     return SymFunc._of(out)
 
 
-def power_to_schur(f: SymFunc, cache: mn.CharCache | None = None) -> dict[Partition, Fraction]:
+def power_to_schur(f: SymFunc, cache: mn.CharCache | None = None) -> dict[Partition, int | Fraction]:
     """Schur expansion {lam: coefficient} in sort_key order, zeros omitted, built
     degree by degree; the coefficient of lam is the Hall pairing of f with the Schur
-    function of lam, read at f's support only, summed in n!-ths and divided once."""
-    out: dict[Partition, Fraction] = {}
+    function of lam, read at f's support only, summed in n!-ths and divided once:
+    an int where integral, a Fraction otherwise."""
+    out: dict[Partition, int | Fraction] = {}
     for n in f.degrees():
         order = factorial(n)
         weighted = {mu: value * (order // centralizer_order(mu)) for mu, value in f.values.items() if sum(mu) == n}
         for lam in partitions_of(n):
             total = sum(weighted[mu] * value for mu, value in mn._row(lam, weighted, cache).items())
             if total:
-                out[lam] = Fraction(total, order)
+                whole, remainder = divmod(total, order)
+                out[lam] = Fraction(total, order) if remainder else whole
     return out
 
 

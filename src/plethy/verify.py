@@ -30,7 +30,6 @@ import functools
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
@@ -73,15 +72,20 @@ DEFAULT_THM2_D = 3
 DEFAULT_ORACLE_N = 3
 
 
-@dataclass(frozen=True)
 class VerificationReport:
     """Outcome of one sweep: what was checked, how many cases, what broke."""
 
-    theorem: str
-    params: dict
-    cases_checked: int
-    failures: list = field(default_factory=list)
-    elapsed_ms: int = 0
+    def __init__(
+        self, theorem: str, params: dict, cases_checked: int, failures: list | None = None, elapsed_ms: int = 0
+    ):
+        self.theorem = theorem
+        self.params = params
+        self.cases_checked = cases_checked
+        self.failures = [] if failures is None else failures
+        self.elapsed_ms = elapsed_ms
+
+    def __eq__(self, other: object) -> bool:
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
 
     @property
     def status(self) -> str:

@@ -399,6 +399,31 @@ class TestConfigHandling:
         assert code == 0
         assert parse_config(out) == Config()
 
+    def test_config_show_bytes(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "config", "show")
+        assert (code, err) == (0, "")
+        assert out == (
+            f"cache_path = {tmp_path / 'cache' / 'plethy' / 'mn_cache.txt'}\n"
+            "max_table_n = 18\nthm1_n = 5\nthm1_d = 3\nlittlewood_size = 8\nthm2_n = 4\nthm2_d = 3\n"
+            "output_format = json\n"
+        )
+
+    @pytest.mark.parametrize("value", [True, False, 2.0, "3"])
+    def test_non_int_limit_rejected(self, value):
+        with pytest.raises(ValueError, match="thm1_n must be a positive integer"):
+            Config(thm1_n=value)
+
+    @pytest.mark.parametrize("name", ["max_table_n", "thm1_n", "thm1_d", "littlewood_size", "thm2_n", "thm2_d"])
+    def test_every_accepted_config_loads_back(self, tmp_path, name):
+        """A bool limit used to pass validation and be saved as "True", which
+        load_config then rejected; now only what loads back is accepted."""
+        path = tmp_path / "saved.cfg"
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+            write_config(path, **{name: True})
+        assert not path.exists()
+        config = write_config(path, **{name: 1})
+        assert load_config(str(path)) == config
+
 
 class TestCacheCommand:
     def test_info_and_clear(self, capsys, tmp_path):

@@ -1,0 +1,88 @@
+"""Every plethy command is a fresh process, so what `import plethy.cli` loads
+is paid on each run.  These modules cost milliseconds of start-up and plethy
+does not need them: dataclasses and what it drags in (inspect, ast, dis,
+tokenize), and csv, which only the CSV output branches load."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import plethy
+
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "csv")
+
+CHECK = """
+import json, sys
+heavy = json.loads(sys.argv[1])
+before = set(sys.modules)
+stages = {}
+import plethy.cli
+stages["import plethy.cli"] = [m for m in heavy if m in sys.modules and m not in before]
+for argv in (["verify", "all"], ["table", "5"]):
+    code = plethy.cli.main(argv)
+    stages[" ".join(argv)] = [m for m in heavy if m in sys.modules and m not in before] if code == 0 else code
+print()
+print(json.dumps(stages))
+"""
+
+
+def run_python(tmp_path, *argv):
+    """A fresh interpreter on this plethy, as the benchmark starts one: no
+    bytecode written, a private cache directory, no config file."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.path.dirname(os.path.dirname(plethy.__file__)),
+        PYTHONDONTWRITEBYTECODE="1",
+        XDG_CACHE_HOME=str(tmp_path / "cache"),
+    )
+    env.pop("PLETHY_CONFIG", None)
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_commands_leave_heavy_modules_unloaded(tmp_path):
+    proc = run_python(tmp_path, "-c", CHECK, json.dumps(HEAVY))
+    assert proc.returncode == 0, proc.stderr
+    stages = json.loads(proc.stdout.splitlines()[-1])
+    assert stages == {"import plethy.cli": [], "verify all": [], "table 5": []}
+
+
+TABLE_5_CSV = """\
+lambda,5,"4,1","3,2","3,1,1","2,2,1","2,1,1,1","1,1,1,1,1"
+5,1,1,1,1,1,1,1
+"4,1",-1,0,-1,1,0,2,4
+"3,2",0,-1,1,-1,1,1,5
+"3,1,1",1,0,0,0,-2,0,6
+"2,2,1",0,1,-1,-1,1,-1,5
+"2,1,1,1",-1,0,1,1,0,-2,4
+"1,1,1,1,1",1,-1,-1,1,1,-1,1
+"""
+
+BOXPLUS_CSV = """\
+kind,key,value
+direct,3,2
+direct,"2,1",0
+direct,"1,1,1",80
+plethystic,3,2
+plethystic,"2,1",0
+plethystic,"1,1,1",80
+multiplicity,3,14
+multiplicity,"2,1",26
+multiplicity,"1,1,1",14
+agreement,,true
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["table", "5", "--format", "csv"], TABLE_5_CSV),
+        (["boxplus", "2,1", "--d", "2", "--route", "both", "--format", "csv"], BOXPLUS_CSV),
+    ],
+)
+def test_csv_branches_import_csv_themselves(tmp_path, argv, expected):
+    proc = run_python(tmp_path, "-m", "plethy.cli", *argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == expected
