@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import symfunc
-from .mn import CharCache, character_row, mn_value
+from .mn import CharCache, _row, character_row, mn_value
 from .partitions import (
     Partition,
     boxplus,
@@ -161,6 +161,7 @@ def boxplus_classfunction(
     n = sum(lam)
     if route == ROUTE_DIRECT:
         big = boxplus(lam, d)
+        # Stays on mn_value until ROADMAP item 1: tests/test_tracing_contract.py requires its calls.
         values = {mu: mn_value(big, boxplus(mu, d), cache) for mu in partitions_of(n)}
     elif route == ROUTE_PLETHYSTIC:
         power = symfunc.power_d(symfunc.schur_to_power(lam, cache), d)
@@ -177,5 +178,6 @@ def scaled_classfunction(lam: Partition, d: int, cache: CharCache | None = None)
     """The level-n class function whose value at mu is the character of
     shape d*lam at the class d*mu."""
     lam = check_partition(lam)
-    n, big = sum(lam), scale(lam, d)
-    return ClassFunction(n, {mu: mn_value(big, scale(mu, d), cache) for mu in partitions_of(n)})
+    classes = {mu: scale(mu, d) for mu in partitions_of(sum(lam))}
+    row = _row(scale(lam, d), classes.values(), cache)
+    return ClassFunction(sum(lam), {mu: row[cls] for mu, cls in classes.items()})

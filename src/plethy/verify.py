@@ -42,7 +42,7 @@ from .characters import (
     decompose,
     scaled_classfunction,
 )
-from .mn import CharCache, _row, mn_value
+from .mn import CharCache, _row
 from .partitions import (
     Partition,
     boxplus,
@@ -278,14 +278,16 @@ def verify_theorem2_div(
     check_limit("n", n, max_n)
     check_limit("d", d, max_d)
     mus = partitions_of(d * n)
+    classes = [scale(mu, d) for mu in mus]
+    power_sums = [SymFunc._of({mu: centralizer_order(mu)}) for mu in mus]
     divisor = math.factorial(d)
 
     def check(lam: Partition) -> tuple[int, list]:
         failures = []
-        big = boxplus(lam, d)
+        row = _row(boxplus(lam, d), classes, cache)
         power = symfunc.power_d(symfunc.schur_to_power(lam, cache), d)
-        for mu in mus:
-            value = mn_value(big, scale(mu, d), cache)
+        for mu, cls, p_mu in zip(mus, classes, power_sums):
+            value = row[cls]
             if value % divisor != 0:
                 failures.append({
                     "lambda": format_partition(lam),
@@ -293,7 +295,7 @@ def verify_theorem2_div(
                     "relation": f"{divisor} divides value",
                     "value": str(value),
                 })
-            pairing = symfunc.hall_inner(power, SymFunc._of({mu: centralizer_order(mu)}))
+            pairing = symfunc.hall_inner(power, p_mu)
             if pairing != value:
                 failures.append({
                     "lambda": format_partition(lam),
@@ -320,18 +322,18 @@ def verify_theorem2_vanish(
     if n % d == 0:
         raise ValueError(f"hypothesis d does not divide n violated: d = {d}, n = {n}")
     nus = partitions_of(n)
+    classes = [scale(nu, d * d) for nu in nus]
 
     def check(lam: Partition) -> tuple[int, list]:
         failures = []
-        big = boxplus(lam, d)
-        for nu in nus:
-            value = mn_value(big, scale(nu, d * d), cache)
-            if value != 0:
+        row = _row(boxplus(lam, d), classes, cache)
+        for nu, cls in zip(nus, classes):
+            if row[cls] != 0:
                 failures.append({
                     "lambda": format_partition(lam),
                     "nu": format_partition(nu),
                     "relation": "value = 0",
-                    "value": str(value),
+                    "value": str(row[cls]),
                 })
         return len(nus), failures
 
@@ -473,22 +475,22 @@ def verify_hall_oracle(
     check_limit("n", n, max_n)
     check_limit("d", d, max_d)
     mus = partitions_of(d * n)
+    classes = [scale(mu, d) for mu in mus]
     orbits = functools.cache(lambda mu: _orbits(mu, n, d))
 
     def check(lam: Partition) -> tuple[int, list]:
         failures = []
-        big = boxplus(lam, d)
         row = _row(lam, partitions_of(n), cache)
-        for mu in mus:
+        stripping = _row(boxplus(lam, d), classes, cache)
+        for mu, cls in zip(mus, classes):
             oracle, orbit_failures = _oracle(row, mu, orbits(mu), d)
-            stripped = mn_value(big, scale(mu, d), cache)
-            if oracle != stripped:
+            if oracle != stripping[cls]:
                 failures.append({
                     "lambda": format_partition(lam),
                     "mu": format_partition(mu),
                     "relation": "tuple summation = ribbon stripping",
                     "summation": symfunc.format_rational(oracle),
-                    "stripping": str(stripped),
+                    "stripping": str(stripping[cls]),
                 })
             failures.extend(
                 dict(failure, **{"lambda": format_partition(lam), "mu": format_partition(mu)})

@@ -559,6 +559,30 @@ VERIFY_ALL_SHA256 = "e619eef16c8de42c8f47d0066965e675b9350cf83cf9982de85e8e2267c
 # one line per answer the two commands asked for, sorted as strings.
 VERIFY_ALL_TABLE_8_CACHE_SHA256 = "a5e70f7e57475accc0354f87dda5c06c9c5c37c21e3b625355467ae9c0c39510"
 VERIFY_ALL_TABLE_8_CACHE_ENTRIES = 1786
+# `verify <sweep>` at its defaults on an empty cache file: SHA-256 of stdout,
+# SHA-256 of the cache file it writes, and that file's line count.
+SWEEP_PINS = {
+    "thm1-scaled": (
+        "504d129852959be35b2db6b42d0570aa8aa21047bb3fb12504e8e5195c18d5e8",
+        "afb7fd14a9ff4ea09c353a6ae4c94da7ecb1347c7f71300950ebc6efd22106cc",
+        98,
+    ),
+    "thm2-div": (
+        "5662a45a048889888f401156808df2260e97d43dad29da858fd0610683afff5d",
+        "c215870258ae3b861cad33dc4eb90c01dfcf0a80cbc2e3f629fd7616a73d3333",
+        410,
+    ),
+    "thm2-vanish": (
+        "f60c5fb0b23166d4ee5125c05d6bd881a4dd09c5e92caca7fa4c40aff2a9c20a",
+        "b3f001a5b0979dc4e28de4aac8ac7a40f9462ad1929be4892cd09e754cf46cda",
+        25,
+    ),
+    "oracle": (
+        "209cbcbbccf1b7205d3beebea5fdb233305413f4ee4929997670886f1fc7cdd3",
+        "d20ed844682dff4ffc3b1bd64328aae5fe2d3d90ec278fb66d25d8a8fc8e9ae7",
+        99,
+    ),
+}
 
 
 class TestDeterminism:
@@ -567,6 +591,19 @@ class TestDeterminism:
             code, out, err = run_cli(capsys, "verify", "all")
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256
+
+    @pytest.mark.parametrize("sweep", SWEEP_PINS)
+    def test_single_sweep_output_and_cache_file_are_pinned(self, capsys, tmp_path, sweep):
+        out_sha256, cache_sha256, cache_lines = SWEEP_PINS[sweep]
+        cfg = tmp_path / "plethy.cfg"
+        cache_path = tmp_path / "mn.txt"
+        write_config(cfg, cache_path=str(cache_path))
+        code, out, err = run_cli(capsys, "--config", str(cfg), "verify", sweep)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == out_sha256
+        written = cache_path.read_bytes()
+        assert hashlib.sha256(written).hexdigest() == cache_sha256
+        assert written.count(b"\n") == cache_lines
 
     def test_verify_all_is_byte_identical_across_runs(self, capsys, tmp_path):
         cfg = tmp_path / "plethy.cfg"

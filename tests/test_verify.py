@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from plethy import characters as characters_mod
 from plethy import verify as verify_mod
 from plethy import (
     CharCache,
@@ -11,6 +12,7 @@ from plethy import (
     VerificationReport,
     boxplus,
     f_dim,
+    format_partition,
     hall_summation_oracle,
     mn_value,
     orbit_divisibility_check,
@@ -441,6 +443,41 @@ class TestHallOracleSweep:
     def test_limits(self):
         with pytest.raises(ValueError, match="n = 4 exceeds the limit 3"):
             verify_hall_oracle(4, 2)
+
+
+class TestBigShapeRows:
+    """thm1-scaled, thm2-div, thm2-vanish and the oracle read their big shape's
+    values as one unchecked row.  One value of that row off by one must fail
+    the sweep with its own relation, at the class that was changed."""
+
+    @pytest.mark.parametrize(
+        "module, sweep, n, d, relation, at",
+        [
+            (characters_mod, verify_theorem1_scaled, 3, 2, "multiplicity is a nonnegative integer", {}),
+            (verify_mod, verify_theorem2_div, 2, 2, "ribbon-stripping value = Hall pairing", {"mu": "4"}),
+            (verify_mod, verify_theorem2_vanish, 3, 2, "value = 0", {"nu": "3"}),
+            (verify_mod, verify_hall_oracle, 2, 2, "tuple summation = ribbon stripping", {"mu": "4"}),
+        ],
+        ids=["thm1-scaled", "thm2-div", "thm2-vanish", "oracle"],
+    )
+    def test_one_wrong_value_fails_the_sweep(self, monkeypatch, module, sweep, n, d, relation, at):
+        real = module._row
+
+        def off_by_one(lam, classes, cache):
+            # Bumps the first class of the big shape's row: the scaled class
+            # of the first partition, (n,) or (d*n,).  The oracle's row of
+            # lam itself has size n and stays right.
+            row = real(lam, classes, cache)
+            if sum(lam) > n:
+                row[next(iter(row))] += 1
+            return row
+
+        monkeypatch.setattr(module, "_row", off_by_one)
+        report = sweep(n, d, cache=CharCache())
+        own = [failure for failure in report.failures if failure["relation"] == relation]
+        assert report.status == "FAIL"
+        assert list(dict.fromkeys(failure["lambda"] for failure in own)) == list(map(format_partition, partitions_of(n)))
+        assert all(failure.items() >= at.items() for failure in own)
 
 
 SWEEP_NAMES = (
