@@ -5,15 +5,10 @@ theorem-verification sweeps."""
 
 from .abacus import d_core, d_quotient, d_sign
 from .characters import (
-    ClassFunction,
     ROUTE_DIRECT,
     ROUTE_PLETHYSTIC,
     boxplus_classfunction,
-    ch,
-    ch_inverse,
     decompose,
-    induction_product,
-    irreducible_character,
     scaled_classfunction,
 )
 from .config import Config, default_cache_path, load_config, parse_config, save_config
@@ -41,7 +36,6 @@ from .symfunc import (
     format_rational,
     hall_inner,
     multiply,
-    parse_rational,
     phi_d_littlewood,
     phi_d_power,
     power_d,

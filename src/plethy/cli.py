@@ -33,7 +33,7 @@ from .partitions import (
     parse_partition,
     partitions_of,
 )
-from .symfunc import format_rational
+from .symfunc import SymFunc, format_rational
 
 ROUTE_BOTH = "both"
 
@@ -118,6 +118,11 @@ def cmd_table(args: argparse.Namespace, config: Config, cache: CharCache) -> int
     return 0
 
 
+def _classfunction_json(phi: SymFunc, n: int) -> dict:
+    """A class function of S_n as {"n": n, "values": ...} over every class of n, zeros included."""
+    return {"n": n, "values": {format_partition(mu): format_rational(phi.values.get(mu, 0)) for mu in partitions_of(n)}}
+
+
 def cmd_boxplus(args: argparse.Namespace, config: Config, cache: CharCache) -> int:
     lam = parse_partition(args.lam)
     # The limits verify thm1 applies to the same class functions.
@@ -137,8 +142,8 @@ def cmd_boxplus(args: argparse.Namespace, config: Config, cache: CharCache) -> i
         writer.writerow(["kind", "key", "value"])
         for route, phi in routes.items():
             kind = "value" if args.route != ROUTE_BOTH else route
-            for mu in partitions_of(phi.n):
-                writer.writerow([kind, format_partition(mu), format_rational(phi.values[mu])])
+            for mu in partitions_of(sum(lam)):
+                writer.writerow([kind, format_partition(mu), format_rational(phi.values.get(mu, 0))])
         for key, value in decomposition.items():
             writer.writerow(["multiplicity", key, value])
         if args.route == ROUTE_BOTH:
@@ -148,11 +153,11 @@ def cmd_boxplus(args: argparse.Namespace, config: Config, cache: CharCache) -> i
     else:
         payload = {"lambda": format_partition(lam), "d": args.d, "route": args.route}
         if args.route == ROUTE_BOTH:
-            payload["direct"] = routes[ROUTE_DIRECT].to_json_dict()
-            payload["plethystic"] = routes[ROUTE_PLETHYSTIC].to_json_dict()
+            payload["direct"] = _classfunction_json(routes[ROUTE_DIRECT], sum(lam))
+            payload["plethystic"] = _classfunction_json(routes[ROUTE_PLETHYSTIC], sum(lam))
             payload["agreement"] = routes[ROUTE_DIRECT].values == routes[ROUTE_PLETHYSTIC].values
         else:
-            payload["classfunction"] = primary.to_json_dict()
+            payload["classfunction"] = _classfunction_json(primary, sum(lam))
         payload["decomposition"] = decomposition
         _emit(_json_text(payload), args.out)
     return 0

@@ -34,7 +34,6 @@ from .partitions import (
     centralizer_order,
     check_partition,
     format_partition,
-    parse_partition,
     partitions_of,
     scale,
     sort_key,
@@ -77,13 +76,10 @@ class SymFunc:
     def degrees(self) -> list[int]:
         return sorted({sum(key) for key in self.values})
 
-    def homogeneous_component(self, n: int) -> "SymFunc":
-        return SymFunc._of({key: value for key, value in self.values.items() if sum(key) == n})
-
     def __add__(self, other: "SymFunc") -> "SymFunc":
         out = dict(self.values)
         for key, value in other.values.items():
-            out[key] = out.get(key, 0) + value
+            out[key] = _exact(out.get(key, 0) + value)
         return SymFunc._of(out)
 
     def __sub__(self, other: "SymFunc") -> "SymFunc":
@@ -91,7 +87,7 @@ class SymFunc:
 
     def __rmul__(self, scalar: Fraction | int) -> "SymFunc":
         scalar = _exact(Fraction(scalar))
-        return SymFunc._of({key: scalar * value for key, value in self.values.items()})
+        return SymFunc._of({key: _exact(scalar * value) for key, value in self.values.items()})
 
     def sorted_items(self) -> list[tuple[Partition, Fraction]]:
         """The power-sum coefficients in sort_key order."""
@@ -103,16 +99,6 @@ class SymFunc:
             "terms": {format_partition(key): format_rational(coeff) for key, coeff in self.sorted_items()},
         }
 
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "SymFunc":
-        try:
-            basis, terms = data["basis"], data["terms"]
-        except KeyError as exc:
-            raise ValueError(f"symmetric function JSON has no {exc.args[0]!r} field") from None
-        if basis != "p":
-            raise ValueError(f"unknown basis {basis!r}, expected 'p' (power sums)")
-        return cls({parse_partition(key): parse_rational(text) for key, text in terms.items()})
-
 
 def _exact(value: Fraction) -> int | Fraction:
     """An integral Fraction as an int, which keeps class-value arithmetic fast."""
@@ -122,10 +108,6 @@ def _exact(value: Fraction) -> int | Fraction:
 def format_rational(value: Fraction) -> str:
     """Decimal string, "num/den" only when the denominator is not 1."""
     return str(Fraction(value))
-
-
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def schur_to_power(lam: Partition, cache: mn.CharCache | None = None) -> SymFunc:

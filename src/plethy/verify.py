@@ -37,7 +37,6 @@ from . import symfunc
 from .characters import (
     ROUTE_DIRECT,
     ROUTE_PLETHYSTIC,
-    ClassFunction,
     boxplus_classfunction,
     decompose,
     scaled_classfunction,
@@ -139,10 +138,11 @@ def f_dim(lam: Partition) -> int:
     return dim
 
 
-def _character_failures(lam: Partition, phi: ClassFunction, cache: CharCache | None) -> list:
-    """Check that phi, built from lam, is a character: its decomposition has
-    nonnegative integer multiplicities, and re-synthesizing from them (the
-    class values of their to_power) reproduces phi at every class."""
+def _character_failures(lam: Partition, phi: SymFunc, cache: CharCache | None) -> list:
+    """Check that phi, a class function of S_n with n = |lam|, is a
+    character: its decomposition has nonnegative integer multiplicities, and
+    re-synthesizing from them (the class values of their to_power)
+    reproduces phi at every class of n, those where phi is 0 included."""
     failures = []
     mults = decompose(phi, cache)
     for nu, m in mults.items():
@@ -154,8 +154,8 @@ def _character_failures(lam: Partition, phi: ClassFunction, cache: CharCache | N
                 "multiplicity": symfunc.format_rational(m),
             })
     resynth_values = symfunc.to_power(mults, cache).values
-    for mu, value in phi.values.items():
-        resynth = resynth_values.get(mu, 0)
+    for mu in partitions_of(sum(lam)):
+        value, resynth = phi.values.get(mu, 0), resynth_values.get(mu, 0)
         if resynth != value:
             failures.append({
                 "lambda": format_partition(lam),
@@ -191,21 +191,21 @@ def verify_theorem1(
         direct = boxplus_classfunction(lam, d, ROUTE_DIRECT, cache)
         plethystic = boxplus_classfunction(lam, d, ROUTE_PLETHYSTIC, cache)
         for mu in mus:
-            if direct.values[mu] != plethystic.values[mu]:
+            if direct.values.get(mu, 0) != plethystic.values.get(mu, 0):
                 failures.append({
                     "lambda": format_partition(lam),
                     "mu": format_partition(mu),
                     "relation": "direct route = plethystic route",
-                    "direct": symfunc.format_rational(direct.values[mu]),
-                    "plethystic": symfunc.format_rational(plethystic.values[mu]),
+                    "direct": symfunc.format_rational(direct.values.get(mu, 0)),
+                    "plethystic": symfunc.format_rational(plethystic.values.get(mu, 0)),
                 })
         failures.extend(_character_failures(lam, direct, cache))
         expected_dim = math.factorial(d * n) // math.factorial(n) ** d * f_dim(lam) ** d
-        if direct.values[identity] != expected_dim:
+        if direct.values.get(identity, 0) != expected_dim:
             failures.append({
                 "lambda": format_partition(lam),
                 "relation": "identity value = (dn)!/(n!)^d * f^d",
-                "value": symfunc.format_rational(direct.values[identity]),
+                "value": symfunc.format_rational(direct.values.get(identity, 0)),
                 "expected": str(expected_dim),
             })
         return 1, failures

@@ -55,7 +55,21 @@ class TestTable:
         assert "table too large" in err and "18" in err
 
 
+# SHA-256 of the stdout of `boxplus 2,1 --d 2 --route both` per format.  Both
+# routes are 0 at the class 2,1, and both outputs list it.
+BOXPLUS_BOTH_SHA256 = {
+    "json": "5a3c5a4074ea358253cc0c6f76fd5e2281368272bc33d1d70215b75f8a43abee",
+    "csv": "8ed433249ae80a2e0a3f812bc153a553785afba5d66e49836cbc23394b2989f9",
+}
+
+
 class TestBoxplus:
+    @pytest.mark.parametrize("fmt", BOXPLUS_BOTH_SHA256)
+    def test_both_routes_output_is_pinned(self, capsys, fmt):
+        code, out, err = run_cli(capsys, "boxplus", "2,1", "--d", "2", "--route", "both", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == BOXPLUS_BOTH_SHA256[fmt]
+
     def test_single_box_json(self, capsys):
         code, out, err = run_cli(capsys, "boxplus", "1", "--d", "2")
         assert code == 0

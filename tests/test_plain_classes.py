@@ -1,22 +1,20 @@
-"""ClassFunction, SymFunc, VerificationReport and Config are plain classes.
+"""SymFunc, VerificationReport and Config are plain classes.
 
 Each is equal to an instance of the same class with equal fields and to
 nothing else, is unhashable, and keeps its constructor, defaults and checks.
+A class function of a symmetric group is a SymFunc holding its values, so
+the SymFunc rows cover class functions too.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from plethy import ClassFunction, Config, SymFunc, VerificationReport
+from plethy import Config, SymFunc, VerificationReport
 from plethy.symfunc import schur_to_power
 
 # name: (build one instance, build one that differs in a single field)
 EXAMPLES = {
-    "ClassFunction": (
-        lambda: ClassFunction(2, {(2,): 1, (1, 1): Fraction(1, 2)}),
-        lambda: ClassFunction(2, {(2,): 1, (1, 1): Fraction(3, 2)}),
-    ),
     "SymFunc": (lambda: SymFunc({(2,): Fraction(1, 2), (1,): 3}), lambda: SymFunc({(2,): Fraction(1, 2)})),
     "VerificationReport": (
         lambda: VerificationReport("Thm1", {"n": 2, "d": 2}, 2, [{"relation": "value = 0"}], 7),
@@ -77,7 +75,6 @@ def test_keyword_construction():
     report = VerificationReport(theorem="Thm1", params={"n": 1}, cases_checked=1)
     assert report == VerificationReport("Thm1", {"n": 1}, 1)
     assert (report.failures, report.elapsed_ms, report.status) == ([], 0, "PASS")
-    assert ClassFunction(n=1, values={(1,): 2}) == ClassFunction(1, {(1,): 2})
 
 
 def test_config_defaults_fill_the_cache_path(tmp_path, monkeypatch):
@@ -91,24 +88,6 @@ def test_reports_do_not_share_a_default_failures_list():
     first, second = VerificationReport("Thm1", {}, 0), VerificationReport("Thm1", {}, 0)
     first.failures.append({"relation": "value = 0"})
     assert second.failures == [] and second.status == "PASS"
-
-
-def test_class_function_coerces_to_int_or_fraction():
-    source = {(2,): Fraction(4, 2), (1, 1): Fraction(1, 2)}
-    phi = ClassFunction(2, source)
-    assert phi.values == {(2,): 2, (1, 1): Fraction(1, 2)}
-    assert [type(value) for value in phi.values.values()] == [int, Fraction]
-    source[(2,)] = 5
-    assert phi.values[(2,)] == 2
-
-
-def test_class_function_missing_and_spurious_keys():
-    with pytest.raises(ValueError, match=r"level 2 missing value at \(1, 1\)"):
-        ClassFunction(2, {(2,): 1})
-    with pytest.raises(ValueError, match=r"level 2 missing value at \(2,\)"):
-        ClassFunction(2)
-    with pytest.raises(ValueError, match=r"level 2 has spurious keys \[\(3,\)\]"):
-        ClassFunction(2, {(2,): 1, (1, 1): 1, (3,): 0})
 
 
 def test_symfunc_equality_ignores_the_cached_terms():

@@ -1,0 +1,88 @@
+"""The public names of the plethy package.  Adding or removing one is an
+API change: it has to edit PUBLIC_NAMES on purpose."""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+PUBLIC_NAMES = [
+    "CacheFormatError",
+    "CharCache",
+    "Config",
+    "DegreeMismatchError",
+    "EMPTY",
+    "Partition",
+    "PartitionError",
+    "ROUTE_DIRECT",
+    "ROUTE_PLETHYSTIC",
+    "SymFunc",
+    "VerificationReport",
+    "abacus",
+    "boxplus",
+    "boxplus_classfunction",
+    "centralizer_order",
+    "character_table",
+    "characters",
+    "check_partition",
+    "config",
+    "conjugate",
+    "d_core",
+    "d_quotient",
+    "d_sign",
+    "decompose",
+    "default_cache_path",
+    "f_dim",
+    "format_partition",
+    "format_rational",
+    "hall_inner",
+    "hall_summation_oracle",
+    "load_config",
+    "mn",
+    "mn_value",
+    "multiplicity",
+    "multiplicity_pattern",
+    "multiply",
+    "orbit_divisibility_check",
+    "parse_config",
+    "parse_partition",
+    "partitions",
+    "partitions_of",
+    "phi_d_littlewood",
+    "phi_d_power",
+    "power_d",
+    "power_to_schur",
+    "psi_d",
+    "run_verify_all",
+    "save_config",
+    "scale",
+    "scaled_classfunction",
+    "schur_to_power",
+    "sort_key",
+    "symfunc",
+    "to_power",
+    "union",
+    "union_power",
+    "verify",
+    "verify_hall_oracle",
+    "verify_littlewood",
+    "verify_theorem1",
+    "verify_theorem1_scaled",
+    "verify_theorem2_div",
+    "verify_theorem2_vanish",
+]
+
+
+def test_public_names_are_pinned():
+    # A fresh process: importing plethy.cli elsewhere in the session would add `cli`.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, plethy; print(json.dumps(sorted(n for n in vars(plethy) if n[0] != '_')))"],
+        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == PUBLIC_NAMES

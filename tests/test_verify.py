@@ -480,6 +480,60 @@ class TestBigShapeRows:
         assert all(failure.items() >= at.items() for failure in own)
 
 
+def add_one_at(phi, mu):
+    """phi with 1 added to its value at the class mu, in place."""
+    phi.values[mu] = phi.values.get(mu, 0) + 1
+    return phi
+
+
+def resynthesis_off_at_2(monkeypatch):
+    real = verify_mod.symfunc.to_power
+    monkeypatch.setattr(verify_mod.symfunc, "to_power", lambda mults, cache=None: add_one_at(real(mults, cache), (2,)))
+
+
+def plethystic_route_off_at_21(monkeypatch):
+    real = verify_mod.boxplus_classfunction
+
+    def patched(lam, d, route=verify_mod.ROUTE_DIRECT, cache=None):
+        phi = real(lam, d, route, cache)
+        return add_one_at(phi, (2, 1)) if lam == (2, 1) and route == verify_mod.ROUTE_PLETHYSTIC else phi
+
+    monkeypatch.setattr(verify_mod, "boxplus_classfunction", patched)
+
+
+class TestZeroClasses:
+    """A class function stores no value where it is 0, yet the sweeps check
+    every class of n: a wrong nonzero value against such a 0 is reported.
+    The class (2) of scaled_classfunction((1, 1), 2) and the class (2, 1)
+    of both routes for lambda = (2, 1) at d = 2 have the value 0."""
+
+    @pytest.mark.parametrize(
+        "patch, sweep, n, expected",
+        [
+            (resynthesis_off_at_2, verify_theorem1_scaled, 2, {
+                "lambda": "1,1",
+                "mu": "2",
+                "relation": "sum of multiplicities times irreducibles = class function",
+                "resynthesized": "1",
+                "value": "0",
+            }),
+            (plethystic_route_off_at_21, verify_theorem1, 3, {
+                "lambda": "2,1",
+                "mu": "2,1",
+                "relation": "direct route = plethystic route",
+                "direct": "0",
+                "plethystic": "1",
+            }),
+        ],
+        ids=["resynthesis", "routes"],
+    )
+    def test_a_wrong_value_at_a_zero_class_is_reported(self, monkeypatch, patch, sweep, n, expected):
+        patch(monkeypatch)
+        report = sweep(n, 2, cache=CharCache())
+        assert report.status == "FAIL"
+        assert expected in report.failures
+
+
 SWEEP_NAMES = (
     "verify_theorem1",
     "verify_theorem1_scaled",
