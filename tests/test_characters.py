@@ -26,6 +26,14 @@ def class_function(values: dict) -> SymFunc:
     return SymFunc({mu: Fraction(value, centralizer_order(mu)) for mu, value in values.items()})
 
 
+class TestClassFunctionType:
+    def test_arithmetic(self):
+        chi = schur_to_power((2, 1))
+        doubled = 2 * chi
+        assert (doubled - chi).values == chi.values
+        assert (chi - chi).is_zero() and (chi - chi).values == {}
+
+
 class TestValueTypes:
     """A class function is a SymFunc and keeps its class-value convention:
     an int where the value is integral, a Fraction elsewhere."""
@@ -48,6 +56,39 @@ class TestValueTypes:
         half = Fraction(1, 2) * schur_to_power((2, 1))
         assert half.values == {(3,): Fraction(-1, 2), (1, 1, 1): 1}
         assert {mu: type(value) for mu, value in half.values.items()} == {(3,): Fraction, (1, 1, 1): int}
+
+
+class TestCharacteristicMap:
+    """The characteristic map is the identity on SymFunc: the SymFunc whose
+    class values are a character is that character's symmetric function."""
+
+    def test_ch_of_trivial_character(self):
+        for n in range(1, 6):
+            f = class_function({mu: 1 for mu in partitions_of(n)})
+            assert f.terms == {
+                mu: Fraction(1, centralizer_order(mu)) for mu in partitions_of(n)
+            }
+            assert f == schur_to_power((n,))
+
+    def test_ch_sends_irreducibles_to_schur(self):
+        for n in range(7):
+            for lam in partitions_of(n):
+                f = class_function({rho: mn_value(lam, rho) for rho in partitions_of(n)})
+                assert f.terms == schur_to_power(lam).terms
+
+    def test_ch_of_zero(self):
+        assert class_function({mu: 0 for mu in partitions_of(4)}).is_zero()
+
+    def test_ch_inverse_of_schur(self):
+        for n in range(6):
+            for lam in partitions_of(n):
+                values = schur_to_power(lam).values
+                back = {rho: values.get(rho, 0) for rho in partitions_of(n)}
+                assert back == {rho: mn_value(lam, rho) for rho in partitions_of(n)}
+
+    def test_ch_inverse_of_single_power_sum(self):
+        for n in range(1, 6):
+            assert SymFunc.power((n,)).values == {(n,): n}
 
 
 class TestInductionProduct:

@@ -90,6 +90,15 @@ def test_reports_do_not_share_a_default_failures_list():
     assert second.failures == [] and second.status == "PASS"
 
 
+def test_class_function_coerces_to_int_or_fraction():
+    source = {(2,): Fraction(1), (1, 1): Fraction(1, 4)}
+    phi = SymFunc(source)
+    assert phi.values == {(2,): 2, (1, 1): Fraction(1, 2)}
+    assert [type(value) for value in phi.values.values()] == [int, Fraction]
+    source[(2,)] = 5
+    assert phi.values[(2,)] == 2
+
+
 def test_symfunc_equality_ignores_the_cached_terms():
     first, second = schur_to_power((2, 1)), schur_to_power((2, 1))
     assert first.terms == {(3,): Fraction(-1, 3), (1, 1, 1): Fraction(1, 3)}
