@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -575,3 +577,62 @@ class TestRunVerifyAll:
         assert all(r.status == "PASS" for r in reports)
         vanish = [r for r in reports if r.theorem == "Thm2Vanish"]
         assert [r.params for r in vanish] == [{"n": 1, "d": 2}]
+
+
+def bump_big_rows(monkeypatch):
+    """Add 1 to the first value of every row of a shape of size > 3, as read by verify and characters."""
+    for module in (verify_mod, characters_mod):
+        def off_by_one(lam, classes, cache, _real=module._row):
+            row = _real(lam, classes, cache)
+            if sum(lam) > 3:
+                row[next(iter(row))] += 1
+            return row
+
+        monkeypatch.setattr(module, "_row", off_by_one)
+
+
+class TestFailureOutput:
+    """Every sweep's failure records, pinned byte for byte: wrong big-shape
+    rows, a plethystic route off at two classes and an abacus route off by
+    p_1 make all six sweeps report, and the timing-free reports of
+    run_verify_all(3, 3, 4, 3, 3) hash to a fixed value."""
+
+    FAILURES = 111
+    SHA256 = "66aac523f0364ff93a87e8442a99008e509bfba797ec60584a54b1206a1f5447"
+
+    def test_failure_records_are_pinned(self, monkeypatch):
+        bump_big_rows(monkeypatch)
+        real_boxplus = verify_mod.boxplus_classfunction
+
+        def plethystic_off(lam, d, route=verify_mod.ROUTE_DIRECT, cache=None):
+            phi = real_boxplus(lam, d, route, cache)
+            if route == verify_mod.ROUTE_PLETHYSTIC:
+                add_one_at(phi, (1,) * sum(lam))
+                phi.values[lam] = phi.values.get(lam, 0) + 2
+            return phi
+
+        monkeypatch.setattr(verify_mod, "boxplus_classfunction", plethystic_off)
+        real_littlewood = verify_mod.symfunc.phi_d_littlewood
+        monkeypatch.setattr(
+            verify_mod.symfunc, "phi_d_littlewood",
+            lambda nu, d, cache=None: real_littlewood(nu, d, cache) + SymFunc({(1,): 1}),
+        )
+        reports = run_verify_all(3, 3, 4, 3, 3, CharCache())
+        assert {report.theorem for report in reports if report.status == "FAIL"} == {
+            "Thm1", "Thm1Scaled", "Littlewood", "Thm2Div", "Thm2Vanish", "HallOracle",
+        }
+        assert sum(len(report.failures) for report in reports) == self.FAILURES
+        text = json.dumps([report.without_timing().to_json_dict() for report in reports], indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SHA256
+
+    def test_records_the_pin_does_not_reach_keep_their_key_order(self, monkeypatch):
+        resynthesis_off_at_2(monkeypatch)
+        monkeypatch.setattr(verify_mod, "f_dim", lambda lam: 2)
+        resynthesis = ("relation", "sum of multiplicities times irreducibles = class function")
+        identity = ("relation", "identity value = (dn)!/(n!)^d * f^d")
+        assert pinned(verify_theorem1(2, 2, cache=CharCache()).failures) == [
+            [("lambda", "2"), ("mu", "2"), resynthesis, ("resynthesized", "3"), ("value", "2")],
+            [("lambda", "2"), identity, ("value", "6"), ("expected", "24")],
+            [("lambda", "1,1"), ("mu", "2"), resynthesis, ("resynthesized", "3"), ("value", "2")],
+            [("lambda", "1,1"), identity, ("value", "6"), ("expected", "24")],
+        ]
