@@ -2,8 +2,9 @@
 
 Each sweep checks one family of identities by at least two independent
 computation routes and returns a VerificationReport.  Failures are collected,
-not raised: a report lists every violated case with enough data to rerun it
-in isolation.
+not raised: each sweep's per-item check yields a record for every violated
+case, with enough data to rerun it in isolation, and a disagreement of two
+routes is always recorded by _disagreement.
 
 The headline checks:
 
@@ -31,7 +32,7 @@ import math
 import time
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import symfunc
 from .characters import (
@@ -111,16 +112,24 @@ def check_limit(name: str, value: int, limit: int) -> None:
         raise ValueError(f"{name} = {value} exceeds the limit {limit}")
 
 
-def _timed(theorem: str, params: dict, worker: Callable, items: Sequence) -> VerificationReport:
-    """Run worker over items, merge (cases, failures) pairs in input order."""
+def _timed(
+    theorem: str, params: dict, check: Callable[..., Iterator[dict]], items: Sequence, cases_each: int = 1
+) -> VerificationReport:
+    """Run check over items, each item cases_each cases, keeping the failure
+    records it yields in input order."""
     start = time.perf_counter()
-    cases = 0
-    failures = []
-    for case_count, case_failures in map(worker, items):
-        cases += case_count
-        failures.extend(case_failures)
+    failures = [failure for item in items for failure in check(item)]
     elapsed_ms = int((time.perf_counter() - start) * 1000)
-    return VerificationReport(theorem, params, cases, failures, elapsed_ms)
+    return VerificationReport(theorem, params, cases_each * len(items), failures, elapsed_ms)
+
+
+def _disagreement(
+    lam: Partition, mu: Partition, relation: str, first: tuple[str, int | Fraction], second: tuple[str, int | Fraction]
+) -> dict:
+    """The failure record of two routes to the value at lam and mu that
+    disagree, each route given as its (name, value)."""
+    record = {"lambda": format_partition(lam), "mu": format_partition(mu), "relation": relation}
+    return record | {name: symfunc.format_rational(value) for name, value in (first, second)}
 
 
 def f_dim(lam: Partition) -> int:
@@ -138,33 +147,26 @@ def f_dim(lam: Partition) -> int:
     return dim
 
 
-def _character_failures(lam: Partition, phi: SymFunc, cache: CharCache | None) -> list:
+def _character_failures(lam: Partition, phi: SymFunc, cache: CharCache | None) -> Iterator[dict]:
     """Check that phi, a class function of S_n with n = |lam|, is a
     character: its decomposition has nonnegative integer multiplicities, and
     re-synthesizing from them (the class values of their to_power)
     reproduces phi at every class of n, those where phi is 0 included."""
-    failures = []
     mults = decompose(phi, cache)
     for nu, m in mults.items():
         if m.denominator != 1 or m < 0:
-            failures.append({
+            yield {
                 "lambda": format_partition(lam),
                 "irreducible": format_partition(nu),
                 "relation": "multiplicity is a nonnegative integer",
                 "multiplicity": symfunc.format_rational(m),
-            })
+            }
     resynth_values = symfunc.to_power(mults, cache).values
     for mu in partitions_of(sum(lam)):
         value, resynth = phi.values.get(mu, 0), resynth_values.get(mu, 0)
         if resynth != value:
-            failures.append({
-                "lambda": format_partition(lam),
-                "mu": format_partition(mu),
-                "relation": "sum of multiplicities times irreducibles = class function",
-                "resynthesized": symfunc.format_rational(resynth),
-                "value": symfunc.format_rational(value),
-            })
-    return failures
+            relation = "sum of multiplicities times irreducibles = class function"
+            yield _disagreement(lam, mu, relation, ("resynthesized", resynth), ("value", value))
 
 
 def verify_theorem1(
@@ -186,31 +188,24 @@ def verify_theorem1(
     mus = partitions_of(n)
     identity = (1,) * n
 
-    def check(lam: Partition) -> tuple[int, list]:
-        failures = []
+    def check(lam: Partition) -> Iterator[dict]:
         direct = boxplus_classfunction(lam, d, ROUTE_DIRECT, cache)
         plethystic = boxplus_classfunction(lam, d, ROUTE_PLETHYSTIC, cache)
         for mu in mus:
-            if direct.values.get(mu, 0) != plethystic.values.get(mu, 0):
-                failures.append({
-                    "lambda": format_partition(lam),
-                    "mu": format_partition(mu),
-                    "relation": "direct route = plethystic route",
-                    "direct": symfunc.format_rational(direct.values.get(mu, 0)),
-                    "plethystic": symfunc.format_rational(plethystic.values.get(mu, 0)),
-                })
-        failures.extend(_character_failures(lam, direct, cache))
+            value, other = direct.values.get(mu, 0), plethystic.values.get(mu, 0)
+            if value != other:
+                yield _disagreement(lam, mu, "direct route = plethystic route", ("direct", value), ("plethystic", other))
+        yield from _character_failures(lam, direct, cache)
         expected_dim = math.factorial(d * n) // math.factorial(n) ** d * f_dim(lam) ** d
         if direct.values.get(identity, 0) != expected_dim:
-            failures.append({
+            yield {
                 "lambda": format_partition(lam),
                 "relation": "identity value = (dn)!/(n!)^d * f^d",
                 "value": symfunc.format_rational(direct.values.get(identity, 0)),
                 "expected": str(expected_dim),
-            })
-        return 1, failures
+            }
 
-    return _timed(THM1, {"n": n, "d": d}, check, partitions_of(n))
+    return _timed(THM1, {"n": n, "d": d}, check, mus)
 
 
 def verify_theorem1_scaled(
@@ -224,8 +219,8 @@ def verify_theorem1_scaled(
     check_limit("n", n, max_n)
     check_limit("d", d, max_d)
 
-    def check(lam: Partition) -> tuple[int, list]:
-        return 1, _character_failures(lam, scaled_classfunction(lam, d, cache), cache)
+    def check(lam: Partition) -> Iterator[dict]:
+        return _character_failures(lam, scaled_classfunction(lam, d, cache), cache)
 
     return _timed(THM1_SCALED, {"n": n, "d": d}, check, partitions_of(n))
 
@@ -247,17 +242,16 @@ def verify_littlewood(
     check_limit("d", d, max_d)
     nus = [nu for m in range(max_size + 1) for nu in partitions_of(m)]
 
-    def check(nu: Partition) -> tuple[int, list]:
+    def check(nu: Partition) -> Iterator[dict]:
         via_abacus = symfunc.phi_d_littlewood(nu, d, cache)
         via_power = symfunc.phi_d_power(symfunc.schur_to_power(nu, cache), d)
         if via_abacus != via_power:
-            return 1, [{
+            yield {
                 "nu": format_partition(nu),
                 "d": d,
                 "relation": "abacus route = power-basis route",
                 "difference_terms": (via_abacus - via_power).to_json_dict()["terms"],
-            }]
-        return 1, []
+            }
 
     return _timed(LITTLEWOOD, {"max_size": max_size, "d": d}, check, nus)
 
@@ -282,31 +276,24 @@ def verify_theorem2_div(
     power_sums = [SymFunc._of({mu: centralizer_order(mu)}) for mu in mus]
     divisor = math.factorial(d)
 
-    def check(lam: Partition) -> tuple[int, list]:
-        failures = []
+    def check(lam: Partition) -> Iterator[dict]:
         row = _row(boxplus(lam, d), classes, cache)
         power = symfunc.power_d(symfunc.schur_to_power(lam, cache), d)
         for mu, cls, p_mu in zip(mus, classes, power_sums):
             value = row[cls]
             if value % divisor != 0:
-                failures.append({
+                yield {
                     "lambda": format_partition(lam),
                     "mu": format_partition(mu),
                     "relation": f"{divisor} divides value",
                     "value": str(value),
-                })
+                }
             pairing = symfunc.hall_inner(power, p_mu)
             if pairing != value:
-                failures.append({
-                    "lambda": format_partition(lam),
-                    "mu": format_partition(mu),
-                    "relation": "ribbon-stripping value = Hall pairing",
-                    "value": str(value),
-                    "pairing": symfunc.format_rational(pairing),
-                })
-        return len(mus), failures
+                relation = "ribbon-stripping value = Hall pairing"
+                yield _disagreement(lam, mu, relation, ("value", value), ("pairing", pairing))
 
-    return _timed(THM2_DIV, {"n": n, "d": d}, check, partitions_of(n))
+    return _timed(THM2_DIV, {"n": n, "d": d}, check, partitions_of(n), len(mus))
 
 
 def verify_theorem2_vanish(
@@ -324,20 +311,18 @@ def verify_theorem2_vanish(
     nus = partitions_of(n)
     classes = [scale(nu, d * d) for nu in nus]
 
-    def check(lam: Partition) -> tuple[int, list]:
-        failures = []
+    def check(lam: Partition) -> Iterator[dict]:
         row = _row(boxplus(lam, d), classes, cache)
         for nu, cls in zip(nus, classes):
             if row[cls] != 0:
-                failures.append({
+                yield {
                     "lambda": format_partition(lam),
                     "nu": format_partition(nu),
                     "relation": "value = 0",
                     "value": str(row[cls]),
-                })
-        return len(nus), failures
+                }
 
-    return _timed(THM2_VANISH, {"n": n, "d": d}, check, partitions_of(n))
+    return _timed(THM2_VANISH, {"n": n, "d": d}, check, nus, len(nus))
 
 
 def _ordered_tuples(mu: Partition, n: int, d: int) -> list[tuple[Partition, ...]]:
@@ -478,27 +463,18 @@ def verify_hall_oracle(
     classes = [scale(mu, d) for mu in mus]
     orbits = functools.cache(lambda mu: _orbits(mu, n, d))
 
-    def check(lam: Partition) -> tuple[int, list]:
-        failures = []
+    def check(lam: Partition) -> Iterator[dict]:
         row = _row(lam, partitions_of(n), cache)
         stripping = _row(boxplus(lam, d), classes, cache)
         for mu, cls in zip(mus, classes):
             oracle, orbit_failures = _oracle(row, mu, orbits(mu), d)
             if oracle != stripping[cls]:
-                failures.append({
-                    "lambda": format_partition(lam),
-                    "mu": format_partition(mu),
-                    "relation": "tuple summation = ribbon stripping",
-                    "summation": symfunc.format_rational(oracle),
-                    "stripping": str(stripping[cls]),
-                })
-            failures.extend(
-                dict(failure, **{"lambda": format_partition(lam), "mu": format_partition(mu)})
-                for failure in orbit_failures
-            )
-        return len(mus), failures
+                relation = "tuple summation = ribbon stripping"
+                yield _disagreement(lam, mu, relation, ("summation", oracle), ("stripping", stripping[cls]))
+            for failure in orbit_failures:
+                yield dict(failure, **{"lambda": format_partition(lam), "mu": format_partition(mu)})
 
-    return _timed(HALL_ORACLE, {"n": n, "d": d}, check, partitions_of(n))
+    return _timed(HALL_ORACLE, {"n": n, "d": d}, check, partitions_of(n), len(mus))
 
 
 class Sweep(NamedTuple):
