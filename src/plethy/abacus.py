@@ -11,9 +11,11 @@ between the two positions.
 Conventions fixed here, since the literature varies:
 
 * d-quotient: pad the canonical mask to t = d * ceil(len(nu) / d) beads;
-  runner r holds the beads congruent to r mod d, as a mask with bit q set
-  when bead q * d + r is; the quotient tuple is ordered by residue
-  r = 0, ..., d-1.  Downstream consumers only multiply the quotient
+  runner r holds the beads congruent to r mod d, as the ascending list of
+  their levels q (bead q * d + r), so its size follows the number of beads,
+  not the largest part; the j-th level from the bottom less j is a part of
+  the runner's quotient component, and the quotient tuple is ordered by
+  residue r = 0, ..., d-1.  Downstream consumers only multiply the quotient
   components together, so the ordering is internal, but it is fixed for
   reproducible output.
 * d-sign: sign of the permutation that moves every bead down its runner into
@@ -80,11 +82,11 @@ def _beads(nu: Partition, d: int) -> list[int]:
     return [part + len(nu) + pad - 1 - i for i, part in enumerate(nu)] + list(range(pad - 1, -1, -1))
 
 
-def _runners(nu: Partition, d: int) -> list[int]:
-    """Per residue r, the mask of runner r of nu's abacus: bit q set when bead q * d + r is."""
-    runners = [0] * d
-    for bead in _beads(nu, d):
-        runners[bead % d] |= 1 << (bead // d)
+def _runners(nu: Partition, d: int) -> list[list[int]]:
+    """Per residue r, the levels q of the beads q * d + r of nu's abacus, ascending."""
+    runners: list[list[int]] = [[] for _ in range(d)]
+    for bead in reversed(_beads(nu, d)):
+        runners[bead % d].append(bead // d)
     return runners
 
 
@@ -95,7 +97,7 @@ def d_core(nu: Partition, d: int) -> Partition:
     is what repeated bead moves converge to regardless of order.
     """
     runners = _runners(nu, d)
-    return decode_mask(sum(1 << (q * d + r) for r, runner in enumerate(runners) for q in range(runner.bit_count())))
+    return decode_mask(sum(1 << (q * d + r) for r, runner in enumerate(runners) for q in range(len(runner))))
 
 
 def d_quotient(nu: Partition, d: int) -> tuple[Partition, ...]:
@@ -103,7 +105,10 @@ def d_quotient(nu: Partition, d: int) -> tuple[Partition, ...]:
 
     Sizes satisfy |nu| = |d_core(nu, d)| + d * sum of component sizes.
     """
-    return tuple(decode_mask(runner) for runner in _runners(nu, d))
+    return tuple(
+        tuple(part for part in reversed([level - j for j, level in enumerate(runner)]) if part)
+        for runner in _runners(nu, d)
+    )
 
 
 def d_sign(nu: Partition, d: int) -> int | None:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 from hypothesis import given, strategies as st
 
@@ -202,3 +203,15 @@ class TestCoreQuotientSign:
                     assert d_core(nu, d) == oracles.beta_core(nu, d), (nu, d)
                     assert d_quotient(nu, d) == oracles.beta_quotient(nu, d), (nu, d)
                     assert d_sign(nu, d) == oracles.beta_sign(nu, d), (nu, d)
+
+    def test_core_and_quotient_memory_follows_the_beads_not_the_parts(self):
+        # One bead at 10**8 + 1: a runner read as a bit mask would allocate
+        # about 5 * 10**7 bits, some 6 MB per int.
+        for function in (d_core, d_quotient):
+            tracemalloc.start()
+            try:
+                function((10**8,), 2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, (function.__name__, peak)
