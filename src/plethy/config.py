@@ -2,14 +2,12 @@
 
 Stored as a plain "key = value" text file.  Blank lines and lines starting
 with "#" are ignored.  Unknown keys are rejected so that typos surface
-instead of silently falling back to defaults; a key that earlier versions
-wrote but that no longer exists is skipped with a note on stderr.
+instead of silently falling back to defaults.
 """
 
 from __future__ import annotations
 
 import os
-import sys
 
 from .mn import DEFAULT_TABLE_LIMIT
 from .verify import (
@@ -90,8 +88,6 @@ def parse_config(text: str) -> Config:
                 raise ValueError(f"config key {key} needs an integer, got {value!r}") from None
         elif key in _STR_KEYS:
             values[key] = value
-        elif key == "parallelism":
-            print(f"note: config key parallelism on line {lineno} was removed and is ignored", file=sys.stderr)
         else:
             raise ValueError(f"unknown config key {key!r} on line {lineno}")
     return Config(**values)

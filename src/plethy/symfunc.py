@@ -66,10 +66,6 @@ class SymFunc:
         """The power-sum coefficients {mu: F_mu / z_mu}."""
         return {mu: Fraction(value, centralizer_order(mu)) for mu, value in self.values.items()}
 
-    @classmethod
-    def power(cls, mu: Partition, coeff: Fraction | int = 1) -> "SymFunc":
-        return cls({tuple(mu): coeff})
-
     def is_zero(self) -> bool:
         return not self.values
 

@@ -150,10 +150,10 @@ def test_criterion_6_adjointness(cache):
         for d in (2, 3):
             for m in range(6):
                 for nu in partitions_of(m):
-                    lifted = psi_d(SymFunc.power(nu), d)
+                    lifted = psi_d(SymFunc({nu: 1}), d)
                     for rho in partitions_of(d * m):
-                        lhs = hall_inner(lifted, SymFunc.power(rho))
-                        rhs = hall_inner(SymFunc.power(nu), phi_d_power(SymFunc.power(rho), d))
+                        lhs = hall_inner(lifted, SymFunc({rho: 1}))
+                        rhs = hall_inner(SymFunc({nu: 1}), phi_d_power(SymFunc({rho: 1}), d))
                         assert lhs == rhs, (nu, rho, d)
         rng = random.Random(20260819)
         for trial in range(100):

@@ -88,7 +88,7 @@ class TestCharacteristicMap:
 
     def test_ch_inverse_of_single_power_sum(self):
         for n in range(1, 6):
-            assert SymFunc.power((n,)).values == {(n,): n}
+            assert SymFunc({(n,): 1}).values == {(n,): n}
 
 
 class TestInductionProduct:

@@ -370,16 +370,14 @@ class TestConfigHandling:
         save_config(config, str(path))
         assert load_config(str(path)) == config
 
-    def test_removed_parallelism_key_is_ignored_with_a_note(self, capsys, tmp_path):
+    def test_removed_parallelism_key_is_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "old.cfg"
-        cfg.write_text("parallelism = 2\n", encoding="utf-8")
-        assert load_config(str(cfg)) == Config()
-        assert capsys.readouterr().err.count("parallelism") == 1
-        code, with_config, err = run_cli(capsys, "--config", str(cfg), "verify", "thm1", "--n", "1")
-        assert code == 0 and "removed" in err
-        code, without_config, err = run_cli(capsys, "verify", "thm1", "--n", "1")
-        assert code == 0 and err == ""
-        assert with_config == without_config
+        cfg.write_text("# written by an older version\nparallelism = 2\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="unknown config key 'parallelism' on line 2"):
+            load_config(str(cfg))
+        code, out, err = run_cli(capsys, "--config", str(cfg), "verify", "thm1", "--n", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: unknown config key 'parallelism' on line 2\n"
 
     def test_saved_config_does_not_depend_on_core_count(self, monkeypatch):
         texts = set()

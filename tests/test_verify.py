@@ -134,7 +134,7 @@ class TestLittlewoodSweep:
     def test_failure_lists_the_difference_in_power_sums(self, monkeypatch):
         # A wrong abacus route giving p_1/3 for every shape; the power-basis
         # route gives 1, 0, p_1 and -p_1 for (), (1), (2) and (1, 1).
-        monkeypatch.setattr(verify_mod.symfunc, "phi_d_littlewood", lambda nu, d, cache=None: SymFunc.power((1,), Fraction(1, 3)))
+        monkeypatch.setattr(verify_mod.symfunc, "phi_d_littlewood", lambda nu, d, cache=None: SymFunc({(1,): Fraction(1, 3)}))
         report = verify_littlewood(2, 2)
         relation = "abacus route = power-basis route"
         assert report.failures == [
