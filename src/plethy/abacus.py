@@ -11,10 +11,10 @@ between the two positions.
 Conventions fixed here, since the literature varies:
 
 * d-quotient: pad the canonical mask to t = d * ceil(len(nu) / d) beads;
-  runner r holds the beads congruent to r mod d, as the ascending list of
-  their levels q (bead q * d + r), so its size follows the number of beads,
-  not the largest part; the j-th level from the bottom less j is a part of
-  the runner's quotient component, and the quotient tuple is ordered by
+  runner r holds the beads congruent to r mod d, as the ascending list
+  q_0 < q_1 < ... of their levels (bead q * d + r), so its size follows the
+  number of beads, not the largest part; the nonzero q_j - j are the parts
+  of the runner's quotient component, and the quotient tuple is ordered by
   residue r = 0, ..., d-1.  Downstream consumers only multiply the quotient
   components together, so the ordering is internal, but it is fixed for
   reproducible output.
