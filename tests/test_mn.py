@@ -15,9 +15,9 @@ from plethy import (
     conjugate,
     mn_value,
     partitions_of,
+    schur_to_power,
 )
 from plethy.abacus import encode_mask
-from plethy.mn import character_row
 from plethy.verify import verify_theorem1
 
 
@@ -123,16 +123,17 @@ class TestCharacterRow:
     def test_matches_mn_value_in_partitions_of_order(self):
         for n in range(11):
             for lam in partitions_of(n):
-                row = character_row(lam)
-                assert list(row) == list(partitions_of(n))
-                assert row == {mu: mn_value(lam, mu) for mu in partitions_of(n)}
+                row = {mu: mn_value(lam, mu) for mu in partitions_of(n)}
+                values = schur_to_power(lam).values
+                assert list(values) == [mu for mu in partitions_of(n) if row[mu]]
+                assert values == {mu: value for mu, value in row.items() if value}
 
     def test_invalid_shape_rejected_before_evaluation(self):
         cache = CharCache()
         mn_value((2, 1), (1, 1, 1), cache)
         before = len(cache)
         with pytest.raises(PartitionError):
-            character_row((1, 2), cache)
+            schur_to_power((1, 2), cache)
         assert len(cache) == before
 
 
@@ -159,7 +160,7 @@ class TestCharCache:
     def test_disk_format(self, tmp_path):
         path = tmp_path / "cache.txt"
         cache = CharCache(path)
-        cache.put((4, 4), (2, 2, 2, 2), 6)
+        assert mn_value((4, 4), (2, 2, 2, 2), cache) == 6
         cache.flush()
         assert path.read_text() == "4,4|2,2,2,2=6\n"
 
@@ -255,19 +256,19 @@ class TestCharCache:
         path = tmp_path / "cache.txt"
         path.write_text("4,4|2,2,2,2=6\n4,4|2,2,2,2=6\ntorn|")
         cache = CharCache(path)
-        cache.put((4, 4), (2, 2, 2, 2), 6)
+        assert mn_value((4, 4), (2, 2, 2, 2), cache) == 6
         cache.flush()
         assert path.read_text() == "4,4|2,2,2,2=6\n4,4|2,2,2,2=6\ntorn|"
-        cache.put((2,), (1, 1), 1)
-        cache.put((1, 1), (1, 1), 1)
+        mn_value((2,), (1, 1), cache)
+        mn_value((1, 1), (1, 1), cache)
         cache.flush()
         assert path.read_text() == "1,1|1,1=1\n2|1,1=1\n4,4|2,2,2,2=6\n"
 
     def test_flush_merges_what_another_writer_saved(self, tmp_path):
         path = tmp_path / "cache.txt"
         mine, theirs = CharCache(path), CharCache(path)
-        mine.put((2,), (2,), 1)
-        theirs.put((1, 1), (2,), -1)
+        mn_value((2,), (2,), mine)
+        mn_value((1, 1), (2,), theirs)
         theirs.flush()
         mine.flush()
         assert path.read_text() == "1,1|2=-1\n2|2=1\n"
@@ -276,7 +277,7 @@ class TestCharCache:
     def test_flush_keeps_conflicts_fatal(self, tmp_path):
         path = tmp_path / "cache.txt"
         cache = CharCache(path)
-        cache.put((2,), (2,), 1)
+        mn_value((2,), (2,), cache)
         path.write_text("2|2=5\n")
         with pytest.raises(CacheFormatError, match="conflicting values 1 and 5.*plethy cache clear"):
             cache.flush()
@@ -287,7 +288,7 @@ class TestCharCache:
         path = tmp_path / "cache.txt"
         path.write_text("2|2=1\n")
         cache = CharCache(path)
-        cache.put((1, 1), (2,), -1)
+        mn_value((1, 1), (2,), cache)
 
         def refuse(src, dst):
             raise OSError("disk full")
@@ -364,10 +365,11 @@ class TestAnswersOnly:
     def test_rows_and_puts_are_answers(self, tmp_path):
         path = tmp_path / "cache.txt"
         cache = CharCache(path)
-        row = character_row((2, 1), cache)
-        cache.put((2, 2), (2, 2), 2)
+        schur_to_power((2, 1), cache)
+        mn_value((2, 2), (2, 2), cache)
         cache.flush()
         reloaded = CharCache(path)
+        row = {mu: mn_value((2, 1), mu) for mu in partitions_of(3)}
         assert len(reloaded) == len(row) + 1
         assert {mu: reloaded.get((2, 1), mu) for mu in row} == row
         assert reloaded.get((2, 2), (2, 2)) == 2
@@ -392,7 +394,7 @@ class TestAnswersOnly:
         path = tmp_path / "cache.txt"
         cache = CharCache(path)
         assert mn_value((), (), cache) == 1
-        assert character_row((), cache) == {(): 1}
+        assert schur_to_power((), cache).values == {(): 1}
         assert len(cache) == 0
         cache.flush()
         assert not path.exists()
@@ -406,8 +408,8 @@ class TestAnswersOnly:
     def test_cache_without_a_path_records_nothing(self):
         cache = CharCache()
         mn_value((3, 2, 1), (2, 2, 1, 1), cache)
-        character_row((2, 2), cache)
-        cache.put((2,), (2,), 1)
+        schur_to_power((2, 2), cache)
+        mn_value((2,), (2,), cache)
         assert cache._unsaved is None and cache._on_disk is None
         cache.flush()
         assert len(cache) > 0
