@@ -5,7 +5,7 @@ part of the cycle type.  Any fixed part order yields the same value;
 largest-first shrinks the recursion tree fastest, and makes intermediate cycle
 types suffixes of the one asked for, each with one memo table {bead mask: value}.
 Those recursion states stay in memory; the cache file keeps only the answers
-asked for at the entry points (mn_value, character_row and their callers).
+asked for at the entry points (mn_value, _row and their callers).
 """
 
 from __future__ import annotations
@@ -34,12 +34,13 @@ class CacheFormatError(ValueError):
 class CharCache:
     """Memo of character values: one table {bead mask of shape: value} per cycle type.
 
-    A pure memo: entries re-derived from scratch are always identical, so a
-    stale, damaged or deleted file never changes results, only speed.
+    A pure memo: only the engine (mn_value, _row) and the loader fill it,
+    and entries re-derived from scratch are always identical, so a stale,
+    damaged or deleted file never changes results, only speed.
 
     With a path, the file is loaded wholesale on construction, and the cache
     records the answers its entry points are asked for: the pairs given to
-    mn_value and put, and each (shape, class) of a character row.  Recursion
+    mn_value, and each (shape, class) of a character row.  Recursion
     states reached on the way stay in the memo only.  The format is one
     entry per line, ``<nu parts>|<rho parts>=<decimal integer>``,
     e.g. ``4,4|2,2,2,2=6``.  Loading skips malformed lines (garbage, a last
@@ -54,8 +55,9 @@ class CharCache:
     depend on the order of computation and a crash leaves the old file or
     the new one, never a torn line.  Of two concurrent flushes the last one
     wins; entries only the other one wrote are recomputed when next needed.
-    Inside, shapes are bead masks (abacus.encode_mask); get/put take
-    partitions and check them like mn_value.
+    'plethy cache clear' deletes the file without reading it.  Inside,
+    shapes are bead masks (abacus.encode_mask); get takes partitions and
+    checks them like mn_value.
     """
 
     def __init__(self, path: str | os.PathLike | None = None):
@@ -74,12 +76,6 @@ class CharCache:
     def get(self, nu: Partition, rho: Partition) -> int | None:
         mask, rho = _key(nu, rho)
         return self._values.get(rho, {}).get(mask)
-
-    def put(self, nu: Partition, rho: Partition, value: int) -> None:
-        mask, rho = _key(nu, rho)
-        self._values[rho].setdefault(mask, value)
-        if self._unsaved is not None:
-            self._asked(mask, (rho,))
 
     def _asked(self, mask: int, rhos: Iterable[Partition]) -> None:
         """Record the answers (mask, rho), rho in rhos, that the file lacks.
@@ -138,14 +134,6 @@ class CharCache:
             os.remove(temp)
             raise
         self._on_disk, self._unsaved = on_disk, defaultdict(set)
-
-    def clear(self) -> None:
-        self._values.clear()
-        if self.path is not None:
-            self._on_disk.clear()
-            self._unsaved.clear()
-            if os.path.exists(self.path):
-                os.remove(self.path)
 
     def __len__(self) -> int:
         return sum(map(len, self._values.values()))
@@ -231,15 +219,9 @@ def mn_value(nu: Partition, rho: Partition, cache: CharCache | None = None) -> i
     return value
 
 
-def character_row(lam: Partition, cache: CharCache | None = None) -> dict[Partition, int]:
-    """{mu: character of shape lam at mu} over partitions_of(|lam|), in that order; checks lam."""
-    lam = check_partition(lam)
-    return _row(lam, partitions_of(sum(lam)), cache)
-
-
 def _row(lam: Partition, classes: Iterable[Partition], cache: CharCache | None) -> dict[Partition, int]:
-    """character_row over the given classes, all of size |lam|, in their order;
-    checks nothing, and records the row's pairs as answers like mn_value."""
+    """{mu: character of lam at mu} over the given classes, all of size |lam|, in
+    their order; checks nothing, and records the row's pairs as answers like mn_value."""
     cache = cache if cache is not None else _default_cache
     mask, values = encode_mask(lam), cache._values
     row = {mu: _mn(mask, mu, values) for mu in classes}

@@ -33,10 +33,8 @@ from .partitions import (
     Partition,
     centralizer_order,
     check_partition,
-    format_partition,
     partitions_of,
     scale,
-    sort_key,
     union,
 )
 
@@ -85,16 +83,6 @@ class SymFunc:
         scalar = _exact(Fraction(scalar))
         return SymFunc._of({key: _exact(scalar * value) for key, value in self.values.items()})
 
-    def sorted_items(self) -> list[tuple[Partition, Fraction]]:
-        """The power-sum coefficients in sort_key order."""
-        return sorted(self.terms.items(), key=lambda item: sort_key(item[0]))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "basis": "p",
-            "terms": {format_partition(key): format_rational(coeff) for key, coeff in self.sorted_items()},
-        }
-
 
 def _exact(value: Fraction) -> int | Fraction:
     """An integral Fraction as an int, which keeps class-value arithmetic fast."""
@@ -107,8 +95,10 @@ def format_rational(value: Fraction) -> str:
 
 
 def schur_to_power(lam: Partition, cache: mn.CharCache | None = None) -> SymFunc:
-    """The Schur function of lam: its class values are the character row of lam."""
-    return SymFunc._of(mn.character_row(lam, cache))
+    """The Schur function of lam: its class values are the character row of lam
+    over partitions_of(|lam|), zeros dropped; checks lam."""
+    lam = check_partition(lam)
+    return SymFunc._of(mn._row(lam, partitions_of(sum(lam)), cache))
 
 
 def to_power(schur: Mapping[Partition, Fraction | int], cache: mn.CharCache | None = None) -> SymFunc:

@@ -246,11 +246,13 @@ def verify_littlewood(
         via_abacus = symfunc.phi_d_littlewood(nu, d, cache)
         via_power = symfunc.phi_d_power(symfunc.schur_to_power(nu, cache), d)
         if via_abacus != via_power:
+            terms = (via_abacus - via_power).terms
+            difference = {format_partition(mu): symfunc.format_rational(terms[mu]) for mu in sorted(terms, key=sort_key)}
             yield {
                 "nu": format_partition(nu),
                 "d": d,
                 "relation": "abacus route = power-basis route",
-                "difference_terms": (via_abacus - via_power).to_json_dict()["terms"],
+                "difference_terms": difference,
             }
 
     return _timed(LITTLEWOOD, {"max_size": max_size, "d": d}, check, nus)

@@ -300,33 +300,21 @@ class TestCharCache:
         assert [p.name for p in tmp_path.iterdir()] == ["cache.txt"]
 
     @pytest.mark.parametrize(
-        "method, args, error",
+        "args, error",
         [
-            ("put", ((1, 2), (3,), 99), PartitionError),
-            ("put", ((2,), (1, 2), 5), PartitionError),
-            ("put", ((2, 1), (2,), 5), DegreeMismatchError),
-            ("get", ((1, 2), (3,)), PartitionError),
-            ("get", ((2, 1), (2, 2)), DegreeMismatchError),
+            (((1, 2), (3,)), PartitionError),
+            (((2, 1), (2, 2)), DegreeMismatchError),
         ],
     )
-    def test_get_and_put_check_like_mn_value(self, tmp_path, method, args, error):
+    def test_get_checks_like_mn_value(self, tmp_path, args, error):
         path = tmp_path / "cache.txt"
         cache = CharCache(path)
         with pytest.raises(error):
-            getattr(cache, method)(*args)
+            cache.get(*args)
         assert len(cache) == 0
         cache.flush()
         assert not path.exists()
         assert mn_value((3,), (3,), cache) == 1
-
-    def test_clear(self, tmp_path):
-        path = tmp_path / "cache.txt"
-        cache = CharCache(path)
-        mn_value((2, 2), (2, 2), cache)
-        cache.flush()
-        cache.clear()
-        assert len(cache) == 0
-        assert not path.exists()
 
     def test_concurrent_evaluation_is_consistent(self):
         cache = CharCache()
@@ -413,18 +401,6 @@ class TestAnswersOnly:
         assert cache._unsaved is None and cache._on_disk is None
         cache.flush()
         assert len(cache) > 0
-
-    def test_answers_asked_again_after_clear_are_written(self, tmp_path):
-        path = tmp_path / "cache.txt"
-        cache = CharCache(path)
-        mn_value((2, 2), (2, 2), cache)
-        cache.flush()
-        cache.clear()
-        cache.flush()
-        assert not path.exists()
-        mn_value((2, 2), (2, 2), cache)
-        cache.flush()
-        assert path.read_text() == "2,2|2,2=2\n"
 
     def test_conflict_with_memory_names_the_line(self, tmp_path):
         path = tmp_path / "cache.txt"

@@ -1,10 +1,17 @@
-"""The public names of the plethy package.  Adding or removing one is an
-API change: it has to edit PUBLIC_NAMES on purpose."""
+"""The public names of the plethy package, of the modules mn and symfunc,
+and of the classes CharCache and SymFunc.  Adding or removing one is an API
+change: it has to edit these pins on purpose."""
 
+import ast
+import inspect
 import json
 import os
 import subprocess
 import sys
+
+import pytest
+
+import plethy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -86,3 +93,54 @@ def test_public_names_are_pinned():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == PUBLIC_NAMES
+
+
+# The public names each module binds itself, imports left out.
+MODULE_NAMES = {
+    "mn": [
+        "CacheFormatError",
+        "CharCache",
+        "DEFAULT_TABLE_LIMIT",
+        "DegreeMismatchError",
+        "character_table",
+        "mn_value",
+    ],
+    "symfunc": [
+        "SymFunc",
+        "format_rational",
+        "hall_inner",
+        "multiply",
+        "phi_d_littlewood",
+        "phi_d_power",
+        "power_d",
+        "power_to_schur",
+        "psi_d",
+        "schur_to_power",
+        "to_power",
+    ],
+}
+
+# The public attributes of an instance, methods and properties included.
+CLASS_ATTRIBUTES = {
+    "CharCache": ["file_stats", "flush", "get", "path"],
+    "SymFunc": ["degrees", "is_zero", "terms", "values"],
+}
+
+
+@pytest.mark.parametrize("name", MODULE_NAMES)
+def test_module_names_are_pinned(name):
+    module = getattr(plethy, name)
+    tree = ast.parse(inspect.getsource(module))
+    imported = {
+        alias.asname or alias.name.partition(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert sorted(key for key in vars(module) if key[0] != "_" and key not in imported) == MODULE_NAMES[name]
+
+
+@pytest.mark.parametrize("name", CLASS_ATTRIBUTES)
+def test_class_attributes_are_pinned(name):
+    instance = getattr(plethy, name)()
+    assert [key for key in dir(instance) if key[0] != "_"] == CLASS_ATTRIBUTES[name]

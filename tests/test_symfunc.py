@@ -82,13 +82,6 @@ class TestSymFuncType:
         assert f.terms == {(2,): Fraction(2)}
         assert (f - f).is_zero()
 
-    def test_json_round_trip(self):
-        f = SymFunc({(2, 1): Fraction(-7, 3), (1, 1, 1): Fraction(4)})
-        data = f.to_json_dict()
-        assert data["basis"] == "p"
-        assert data["terms"] == {"2,1": "-7/3", "1,1,1": "4"}
-        assert SymFunc({parse_partition(key): Fraction(text) for key, text in data["terms"].items()}) == f
-
     def test_rational_text(self):
         assert format_rational(Fraction(4)) == "4"
         assert format_rational(Fraction(-7, 3)) == "-7/3"
