@@ -27,7 +27,6 @@ The headline checks:
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from collections import Counter
@@ -463,13 +462,13 @@ def verify_hall_oracle(
     check_limit("d", d, max_d)
     mus = partitions_of(d * n)
     classes = [scale(mu, d) for mu in mus]
-    orbits = functools.cache(lambda mu: _orbits(mu, n, d))
+    orbits = {mu: _orbits(mu, n, d) for mu in mus}
 
     def check(lam: Partition) -> Iterator[dict]:
         row = _row(lam, partitions_of(n), cache)
         stripping = _row(boxplus(lam, d), classes, cache)
         for mu, cls in zip(mus, classes):
-            oracle, orbit_failures = _oracle(row, mu, orbits(mu), d)
+            oracle, orbit_failures = _oracle(row, mu, orbits[mu], d)
             if oracle != stripping[cls]:
                 relation = "tuple summation = ribbon stripping"
                 yield _disagreement(lam, mu, relation, ("summation", oracle), ("stripping", stripping[cls]))
