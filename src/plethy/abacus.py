@@ -90,14 +90,18 @@ def _runners(nu: Partition, d: int) -> list[list[int]]:
     return runners
 
 
+def _parts(levels: list[int]) -> Partition:
+    """The partition of ascending bead positions: the nonzero position minus index, largest first."""
+    return tuple(part for part in reversed([level - j for j, level in enumerate(levels)]) if part)
+
+
 def d_core(nu: Partition, d: int) -> Partition:
     """The partition left after stripping ribbons of length d until none remain.
 
     Computed by packing each runner's beads into its lowest positions, which
     is what repeated bead moves converge to regardless of order.
     """
-    runners = _runners(nu, d)
-    return decode_mask(sum(1 << (q * d + r) for r, runner in enumerate(runners) for q in range(len(runner))))
+    return _parts(sorted(k * d + r for r, runner in enumerate(_runners(nu, d)) for k in range(len(runner))))
 
 
 def d_quotient(nu: Partition, d: int) -> tuple[Partition, ...]:
@@ -105,10 +109,7 @@ def d_quotient(nu: Partition, d: int) -> tuple[Partition, ...]:
 
     Sizes satisfy |nu| = |d_core(nu, d)| + d * sum of component sizes.
     """
-    return tuple(
-        tuple(part for part in reversed([level - j for j, level in enumerate(runner)]) if part)
-        for runner in _runners(nu, d)
-    )
+    return tuple(map(_parts, _runners(nu, d)))
 
 
 def d_sign(nu: Partition, d: int) -> int | None:

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 
 from hypothesis import given, strategies as st
@@ -215,3 +216,10 @@ class TestCoreQuotientSign:
             finally:
                 tracemalloc.stop()
             assert peak < 2**20, (function.__name__, peak)
+
+    def test_core_time_follows_the_beads(self):
+        # 300,000 beads: packing them into one bit mask and decoding it
+        # costs O(beads) bits per bead, some 20 s here.
+        start = time.perf_counter()
+        assert d_core((10**8,), 300_000) == (100_000,)
+        assert time.perf_counter() - start < 3
