@@ -1,8 +1,8 @@
 """Configuration for the CLI: cache location, table and sweep limits, output.
 
 Stored as a plain "key = value" text file.  Blank lines and lines starting
-with "#" are ignored.  Unknown keys are rejected so that typos surface
-instead of silently falling back to defaults.
+with "#" are ignored.  Unknown and repeated keys are rejected so that typos
+and stale lines surface instead of silently deciding a setting.
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ class Config:
 
 def parse_config(text: str) -> Config:
     values: dict[str, object] = {}
+    first_lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -81,6 +82,9 @@ def parse_config(text: str) -> Config:
             raise ValueError(f"config line {lineno} is not 'key = value': {raw!r}")
         key = key.strip()
         value = value.strip()
+        first = first_lines.setdefault(key, lineno)
+        if first != lineno:
+            raise ValueError(f"config key {key} given twice, on lines {first} and {lineno}")
         if key in _INT_KEYS:
             try:
                 values[key] = int(value)

@@ -379,6 +379,15 @@ class TestConfigHandling:
         assert (code, out) == (2, "")
         assert err == "error: unknown config key 'parallelism' on line 2\n"
 
+    def test_repeated_key_is_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("thm1_n = 3\nthm1_n = 4\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="config key thm1_n given twice, on lines 1 and 2"):
+            load_config(str(cfg))
+        code, out, err = run_cli(capsys, "--config", str(cfg), "verify", "thm1", "--n", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: config key thm1_n given twice, on lines 1 and 2\n"
+
     def test_saved_config_does_not_depend_on_core_count(self, monkeypatch):
         texts = set()
         for cores in (2, 8):
