@@ -4,8 +4,9 @@ The recursion always strips a ribbon whose length is the largest remaining
 part of the cycle type.  Any fixed part order yields the same value;
 largest-first shrinks the recursion tree fastest, and makes intermediate cycle
 types suffixes of the one asked for, each with one memo table {bead mask: value}.
-Those recursion states stay in memory; the cache file keeps only the answers
-asked for at the entry points (mn_value, _row and their callers).
+Every value is read through _row, mn_value's one-class rows included, and
+computed on a miss by _miss.  The recursion states stay in memory; the cache
+file keeps only the answers _row was asked for.
 """
 
 from __future__ import annotations
@@ -34,18 +35,18 @@ class CacheFormatError(ValueError):
 class CharCache:
     """Memo of character values: one table {bead mask of shape: value} per cycle type.
 
-    A pure memo: only the engine (mn_value, _row) and the loader fill it,
+    A pure memo: only the engine (_row, through _miss) and the loader fill it,
     and entries re-derived from scratch are always identical, so a stale,
     damaged or deleted file never changes results, only speed.
 
     With a path, the file is loaded wholesale on construction, and the cache
-    records the answers its entry points are asked for: the pairs given to
-    mn_value, and each (shape, class) of a character row.  Recursion
-    states reached on the way stay in the memo only.  The format is one
-    entry per line, ``<nu parts>|<rho parts>=<decimal integer>``,
-    e.g. ``4,4|2,2,2,2=6``.  Loading skips malformed lines (garbage, a last
-    line without its newline, |nu| != |rho|); it fails only when two lines
-    give one pair different values.  file_stats holds the loaded file's
+    records the answers _row is asked for: each (shape, class) of a row,
+    the one-class rows of mn_value included.  Recursion states reached on
+    the way stay in the memo only.  The format is one entry per line,
+    ``<nu parts>|<rho parts>=<decimal integer>``, e.g. ``4,4|2,2,2,2=6``.
+    Loading skips malformed lines (garbage, a last line without its
+    newline, |nu| != |rho|); it fails only when two lines give one pair
+    different values.  file_stats holds the loaded file's
     bytes, lines, duplicate_lines, malformed_lines and largest_n (the
     largest size of a loaded entry), all 0 without a file.  flush() does
     nothing unless an answer is missing from the file as last loaded or
@@ -74,18 +75,8 @@ class CharCache:
             self._on_disk, self._unsaved = _masks(self._values), defaultdict(set)
 
     def get(self, nu: Partition, rho: Partition) -> int | None:
-        mask, rho = _key(nu, rho)
-        return self._values.get(rho, {}).get(mask)
-
-    def _asked(self, mask: int, rhos: Iterable[Partition]) -> None:
-        """Record the answers (mask, rho), rho in rhos, that the file lacks.
-        Never the empty shape: the memo does not hold it, so no flush could
-        write it."""
-        if mask:
-            on_disk, unsaved = self._on_disk, self._unsaved
-            for rho in rhos:
-                if mask not in on_disk.get(rho, ()):
-                    unsaved[rho].add(mask)
+        nu, rho = _checked(nu, rho)
+        return self._values.get(rho, {}).get(encode_mask(nu))
 
     def flush(self) -> None:
         """If an answer asked since the last load or flush is missing from the
@@ -191,8 +182,8 @@ def _masks(values: dict[Partition, dict[int, int]]) -> defaultdict[Partition, se
 _default_cache = CharCache()
 
 
-def _key(nu: Partition, rho: Partition) -> tuple[int, Partition]:
-    """The memo key (bead mask of nu, rho) of a checked pair with |nu| = |rho|."""
+def _checked(nu: Partition, rho: Partition) -> tuple[Partition, Partition]:
+    """The checked pair (nu, rho), with |nu| = |rho|."""
     nu = check_partition(nu)
     rho = check_partition(rho)
     if sum(nu) != sum(rho):
@@ -200,44 +191,42 @@ def _key(nu: Partition, rho: Partition) -> tuple[int, Partition]:
             f"degree mismatch: |{format_partition(nu) or '()'}| = {sum(nu)}"
             f" but |{format_partition(rho) or '()'}| = {sum(rho)}"
         )
-    return encode_mask(nu), rho
+    return nu, rho
 
 
 def mn_value(nu: Partition, rho: Partition, cache: CharCache | None = None) -> int:
     """The irreducible character of shape nu at the class of cycle type rho.
 
-    Exact integer; |nu| must equal |rho|.  Values are memoized (including
-    every intermediate pair the recursion touches) through the given cache,
-    or the process-wide default; a cache with a path records the pair as an
-    answer to persist.
+    Exact integer; |nu| must equal |rho|.  Read as the one-class row of nu
+    through _row: memoized (with every intermediate pair the recursion
+    touches) in the given cache or the process-wide default, and recorded
+    as an answer to persist by a cache with a path.
     """
-    mask, rho = _key(nu, rho)
-    cache = cache if cache is not None else _default_cache
-    value = _mn(mask, rho, cache._values)
-    if cache._unsaved is not None:
-        cache._asked(mask, (rho,))
-    return value
+    nu, rho = _checked(nu, rho)
+    return _row(nu, (rho,), cache)[rho]
 
 
 def _row(lam: Partition, classes: Iterable[Partition], cache: CharCache | None) -> dict[Partition, int]:
     """{mu: character of lam at mu} over the given classes, all of size |lam|, in
-    their order; checks nothing, and records the row's pairs as answers like mn_value."""
+    their order; checks nothing.  The only reader of the memo: a miss goes to
+    _miss, and a cache with a path records each pair the file lacks as an
+    answer.  The empty shape never enters the memo, so is never an answer."""
+    if not lam:
+        return dict.fromkeys(classes, 1)
     cache = cache if cache is not None else _default_cache
     mask, values = encode_mask(lam), cache._values
-    row = {mu: _mn(mask, mu, values) for mu in classes}
-    if cache._unsaved is not None:
-        cache._asked(mask, row)
+    row = {}
+    for mu in classes:
+        table = values[mu]
+        value = table.get(mask)
+        row[mu] = _miss(mask, mu, 0, [table], values) if value is None else value
+    unsaved = cache._unsaved
+    if unsaved is not None:
+        on_disk = cache._on_disk
+        for mu in row:
+            if mask not in on_disk.get(mu, ()):
+                unsaved[mu].add(mask)
     return row
-
-
-def _mn(mask: int, rho: Partition, values: defaultdict[Partition, dict[int, int]]) -> int:
-    if not mask:
-        return 1
-    table = values[rho]
-    known = table.get(mask)
-    if known is not None:
-        return known
-    return _miss(mask, rho, 0, [table], values)
 
 
 def _miss(mask: int, rho: Partition, depth: int, tables: list[dict[int, int]], values) -> int:
