@@ -195,7 +195,7 @@ def cmd_verify(args: argparse.Namespace, config: Config, cache: CharCache) -> in
                 raise ValueError(f"verify {args.which} has an empty grid under the configured limits; give --n and --d")
             size = sweep.default[0] if size is None else size
             d = sweep.default[1] if d is None else d
-        reports = [getattr(verify_mod, sweep.function)(size, d, *sweep.limits, cache)]
+        reports = [sweep.function(size, d, *sweep.limits, cache)]
     if not args.timings:
         reports = [report.without_timing() for report in reports]
     all_pass = all(report.status == "PASS" for report in reports)

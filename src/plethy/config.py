@@ -25,7 +25,10 @@ _KEYS = ("cache_path", *_INT_KEYS, "output_format")  # the order of to_text
 
 
 def default_cache_path() -> str:
-    root = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    # The XDG Base Directory spec makes a relative XDG_CACHE_HOME invalid: ignored, like an empty one.
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):
+        root = os.path.join(os.path.expanduser("~"), ".cache")
     return os.path.join(root, "plethy", "mn_cache.txt")
 
 

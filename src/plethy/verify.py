@@ -479,13 +479,13 @@ def verify_hall_oracle(
 
 
 class Sweep(NamedTuple):
-    """One sweep: the name of the function of this module that runs it (looked
-    up at call time, so a patched attribute is what runs), the name of its
+    """One sweep: the function of this module that runs it (sweep_table reads
+    it on every call, so a patched attribute is what runs), the name of its
     size argument, the (size, d) pairs of its `run_verify_all` grid, the
     (size limit, d limit) passed to it, and the (size, d) of a single run
     for each flag not given (None when there is no such pair)."""
 
-    function: str
+    function: Callable[..., VerificationReport]
     size_name: str
     grid: Sequence[tuple[int, int]]
     limits: tuple[int, int]
@@ -515,17 +515,17 @@ def sweep_table(
     thm1_limits = (thm1_n, thm1_d)
     thm2_limits = (thm2_n, thm2_d)
     return {
-        "thm1": Sweep("verify_theorem1", "n", thm1_grid, thm1_limits, thm1_limits),
-        "thm1-scaled": Sweep("verify_theorem1_scaled", "n", thm1_grid, thm1_limits, thm1_limits),
+        "thm1": Sweep(verify_theorem1, "n", thm1_grid, thm1_limits, thm1_limits),
+        "thm1-scaled": Sweep(verify_theorem1_scaled, "n", thm1_grid, thm1_limits, thm1_limits),
         "littlewood": Sweep(
-            "verify_littlewood", "max_size", littlewood_grid, (littlewood_size, thm1_d), (littlewood_size, min(2, thm1_d))
+            verify_littlewood, "max_size", littlewood_grid, (littlewood_size, thm1_d), (littlewood_size, min(2, thm1_d))
         ),
-        "thm2-div": Sweep("verify_theorem2_div", "n", thm2_grid, thm2_limits, thm2_limits),
+        "thm2-div": Sweep(verify_theorem2_div, "n", thm2_grid, thm2_limits, thm2_limits),
         "thm2-vanish": Sweep(
-            "verify_theorem2_vanish", "n", vanish_grid, thm2_limits, vanish_grid[-1] if vanish_grid else None
+            verify_theorem2_vanish, "n", vanish_grid, thm2_limits, vanish_grid[-1] if vanish_grid else None
         ),
         "oracle": Sweep(
-            "verify_hall_oracle", "n", oracle_grid, (DEFAULT_ORACLE_N, thm2_d), (min(thm2_n, DEFAULT_ORACLE_N), thm2_d)
+            verify_hall_oracle, "n", oracle_grid, (DEFAULT_ORACLE_N, thm2_d), (min(thm2_n, DEFAULT_ORACLE_N), thm2_d)
         ),
     }
 
@@ -540,7 +540,7 @@ def run_verify_all(
 ) -> list[VerificationReport]:
     """Run every sweep over its grid, in the order of sweep_table."""
     return [
-        globals()[sweep.function](size, d, *sweep.limits, cache)
+        sweep.function(size, d, *sweep.limits, cache)
         for sweep in sweep_table(thm1_n, thm1_d, littlewood_size, thm2_n, thm2_d).values()
         for size, d in sweep.grid
     ]

@@ -224,6 +224,27 @@ class TestVerifyCommand:
         assert data["status"] == "FAIL"
         assert data["failures"] == [{"relation": "direct route = plethystic route"}]
 
+    def test_verify_all_runs_the_patched_sweeps(self, capsys, monkeypatch):
+        from plethy import verify as verify_mod
+
+        grid = verify_mod.sweep_table()["thm2-vanish"].grid
+        calls = []
+
+        def record(n, d, *rest, _vanish=verify_mod.verify_theorem2_vanish):
+            calls.append((n, d))
+            return _vanish(n, d, *rest)
+
+        def broken(n, d, max_n, max_d, cache):
+            return verify_mod.VerificationReport("Thm1", {"n": n, "d": d}, 1, [{"relation": "value = 0"}])
+
+        monkeypatch.setattr(verify_mod, "verify_theorem2_vanish", record)
+        assert all(report.status == "PASS" for report in verify_mod.run_verify_all())
+        assert grid and calls == grid
+        monkeypatch.setattr(verify_mod, "verify_theorem1", broken)
+        code, out, err = run_cli(capsys, "verify", "all")
+        assert code == 1 and json.loads(out)["status"] == "FAIL"
+        assert calls == grid * 2
+
     def test_limit_violation_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "verify", "thm1", "--n", "9")
         assert code == 2
@@ -474,6 +495,24 @@ class TestCacheCommand:
             "malformed_lines": 0,
             "largest_n": 0,
         }
+
+    @pytest.mark.parametrize("xdg", [None, "", "rel"])
+    def test_default_path_ignores_an_unset_empty_or_relative_xdg_cache_home(self, capsys, tmp_path, monkeypatch, xdg):
+        home, work, elsewhere = tmp_path / "home", tmp_path / "work", tmp_path / "elsewhere"
+        work.mkdir()
+        elsewhere.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        if xdg is None:
+            monkeypatch.delenv("XDG_CACHE_HOME")
+        else:
+            monkeypatch.setenv("XDG_CACHE_HOME", xdg)
+        cache_path = home / ".cache" / "plethy" / "mn_cache.txt"
+        monkeypatch.chdir(work)
+        assert run_cli(capsys, "table", "3")[0] == 0
+        assert cache_path.exists() and os.listdir(work) == []
+        monkeypatch.chdir(elsewhere)
+        info = json.loads(run_cli(capsys, "cache", "info")[1])
+        assert info["path"] == str(cache_path) and info["exists"] is True and info["entries"] > 0
 
     def test_info_counts_duplicate_and_malformed_lines(self, capsys, tmp_path):
         cfg = tmp_path / "plethy.cfg"
