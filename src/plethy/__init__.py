@@ -22,7 +22,6 @@ from .partitions import (
     check_partition,
     conjugate,
     format_partition,
-    multiplicity,
     multiplicity_pattern,
     parse_partition,
     partitions_of,

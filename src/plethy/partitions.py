@@ -98,13 +98,6 @@ def partitions_of(n: int) -> list[Partition]:
     return list(_partitions_of(n))
 
 
-def multiplicity(mu: Partition, i: int) -> int:
-    """Number of parts of mu equal to i (i >= 1)."""
-    if i < 1:
-        raise PartitionError(f"part value must be positive, got {i}")
-    return sum(1 for part in mu if part == i)
-
-
 # Bounded memo: the symmetric-function layer asks for the same few cycle types.
 @functools.lru_cache(maxsize=4096)
 def centralizer_order(mu: Partition) -> int:
