@@ -5,14 +5,16 @@ part of the cycle type.  Any fixed part order yields the same value;
 largest-first shrinks the recursion tree fastest, and makes intermediate cycle
 types suffixes of the one asked for, each with one memo table {bead mask: value}.
 Every value is read through _row, mn_value's one-class rows included, and
-computed on a miss by _miss.  The recursion states stay in memory; the cache
-file keeps only the answers _row was asked for.
+computed on a miss by _miss, which recurses once per part of the class.  The
+recursion states stay in memory; the file keeps only the answers _row was
+asked for.  _shape_row memoizes whole rows per shape, outside len and file.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+import sys
 from collections import defaultdict
 from typing import Iterable
 
@@ -22,6 +24,7 @@ from .partitions import Partition, check_partition, format_partition, parse_part
 DEFAULT_TABLE_LIMIT = 18
 _CLEAR_HINT = "; run 'plethy cache clear' to delete the cache file"
 _FILE_STATS = ("bytes", "lines", "duplicate_lines", "malformed_lines", "largest_n")
+_CALLER_FRAMES = 500  # the stack depth a miss leaves the kernel's callers
 
 
 class DegreeMismatchError(ValueError):
@@ -58,12 +61,14 @@ class CharCache:
     wins; entries only the other one wrote are recomputed when next needed.
     'plethy cache clear' deletes the file without reading it.  Inside,
     shapes are bead masks (abacus.encode_mask); get takes partitions and
-    checks them like mn_value.
+    checks them like mn_value.  _shapes, the rows of _shape_row, repeats
+    values of the memo: len does not count it and the file never holds it.
     """
 
     def __init__(self, path: str | os.PathLike | None = None):
         self.path = os.fspath(path) if path is not None else None
         self._values: defaultdict[Partition, dict[int, int]] = defaultdict(dict)
+        self._shapes: dict[Partition, dict[Partition, int]] = {}
         self.file_stats = dict.fromkeys(_FILE_STATS, 0)
         # By cycle type: the bead masks of the file as last loaded or
         # flushed, and the answers asked since that it lacks.  None without
@@ -210,22 +215,39 @@ def _row(lam: Partition, classes: Iterable[Partition], cache: CharCache | None) 
     """{mu: character of lam at mu} over the given classes, all of size |lam|, in
     their order; checks nothing.  The only reader of the memo: a miss goes to
     _miss, and a cache with a path records each pair the file lacks as an
-    answer.  The empty shape never enters the memo, so is never an answer."""
+    answer.  The empty shape never enters the memo, so is never an answer.
+    A miss on a class too long for the recursion limit raises (never lowers) it."""
     if not lam:
         return dict.fromkeys(classes, 1)
     cache = cache if cache is not None else _default_cache
     mask, values = encode_mask(lam), cache._values
-    row = {}
+    row, room = {}, sys.getrecursionlimit() - _CALLER_FRAMES
     for mu in classes:
         table = values[mu]
         value = table.get(mask)
-        row[mu] = _miss(mask, mu, 0, [table], values) if value is None else value
+        if value is None:
+            if len(mu) > room:
+                room = len(mu)
+                sys.setrecursionlimit(room + _CALLER_FRAMES)
+            value = _miss(mask, mu, 0, [table], values)
+        row[mu] = value
     unsaved = cache._unsaved
     if unsaved is not None:
         on_disk = cache._on_disk
         for mu in row:
             if mask not in on_disk.get(mu, ()):
                 unsaved[mu].add(mask)
+    return row
+
+
+def _shape_row(lam: Partition, cache: CharCache | None) -> dict[Partition, int]:
+    """The nonzero values of lam's row over partitions_of(|lam|), in that order;
+    checks nothing.  Read through _row once per cache and kept in its _shapes,
+    so callers must not mutate it."""
+    cache = cache if cache is not None else _default_cache
+    row = cache._shapes.get(lam)
+    if row is None:
+        row = cache._shapes[lam] = {mu: v for mu, v in _row(lam, partitions_of(sum(lam)), cache).items() if v}
     return row
 
 

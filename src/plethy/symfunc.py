@@ -96,9 +96,12 @@ def format_rational(value: Fraction) -> str:
 
 def schur_to_power(lam: Partition, cache: mn.CharCache | None = None) -> SymFunc:
     """The Schur function of lam: its class values are the character row of lam
-    over partitions_of(|lam|), zeros dropped; checks lam."""
+    over partitions_of(|lam|), zeros dropped.  Checks lam on every call, then
+    copies the row the cache memoizes per shape into a fresh SymFunc."""
     lam = check_partition(lam)
-    return SymFunc._of(mn._row(lam, partitions_of(sum(lam)), cache))
+    f = object.__new__(SymFunc)
+    f.values = mn._shape_row(lam, cache).copy()
+    return f
 
 
 def to_power(schur: Mapping[Partition, Fraction | int], cache: mn.CharCache | None = None) -> SymFunc:

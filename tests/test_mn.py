@@ -1,6 +1,9 @@
+import inspect
 import os
 import random
+import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +16,10 @@ from plethy import (
     PartitionError,
     character_table,
     conjugate,
+    mn,
     mn_value,
     partitions_of,
+    power_d,
     schur_to_power,
 )
 from plethy.abacus import encode_mask
@@ -23,6 +28,14 @@ from plethy.verify import verify_theorem1
 
 def same_size_pair(shapes):
     return st.tuples(st.sampled_from(shapes), st.sampled_from(shapes))
+
+
+@pytest.fixture
+def recursion_limit():
+    """Restores the recursion limit, which the kernel raises for long classes."""
+    limit = sys.getrecursionlimit()
+    yield limit
+    sys.setrecursionlimit(limit)
 
 
 class TestMnValue:
@@ -70,6 +83,24 @@ class TestMnValue:
         for n in range(1, 6):
             for lam in partitions_of(n):
                 assert mn_value(lam, (1,) * n) == oracles.syt_count(lam)
+
+    def test_classes_longer_than_the_recursion_limit(self, recursion_limit):
+        # The kernel recurses once per part; at the default limit of 1,000
+        # these raised RecursionError.
+        start = time.perf_counter()
+        assert mn_value((2000,), (1,) * 2000, CharCache()) == 1
+        assert mn_value((1,) * 2000, (1,) * 2000, CharCache()) == 1
+        assert time.perf_counter() - start < 10
+
+    def test_long_mixed_class_under_a_lowered_limit(self, recursion_limit):
+        nu, rho = (6, 5, 5, 4, 3, 3, 2, 2, 1, 1), (3, 2, 2) + (1,) * 25
+        expected = oracles.partition_mn(nu, rho)
+        assert expected != 0
+        # Fewer free frames than the class has parts.
+        lowered = len(inspect.stack(0)) + 20
+        sys.setrecursionlimit(lowered)
+        assert mn_value(nu, rho, CharCache()) == expected
+        assert sys.getrecursionlimit() > lowered
 
 
 class TestCharacterTable:
@@ -135,6 +166,45 @@ class TestCharacterRow:
         with pytest.raises(PartitionError):
             schur_to_power((1, 2), cache)
         assert len(cache) == before
+        # Also once the row of (2, 1) is memoized: (2, True) and (2.0, 1)
+        # hash equal to (2, 1).
+        schur_to_power((2, 1), cache)
+        before = len(cache)
+        for bad in [(1, 2), (2, True), (2.0, 1)]:
+            with pytest.raises(PartitionError):
+                schur_to_power(bad, cache)
+        assert len(cache) == before
+
+    def test_each_call_returns_a_fresh_symfunc(self):
+        cache = CharCache()
+        first, second = schur_to_power((3, 1), cache), schur_to_power((3, 1), cache)
+        assert first == second and first.values is not second.values
+        expected = dict(second.values)
+        first.values[(4,)] += 5
+        del first.values[(1, 1, 1, 1)]
+        assert second.values == expected
+        assert schur_to_power((3, 1), cache).values == expected
+        # power_d(f, 1) is f itself.
+        power = power_d(schur_to_power((3, 1), cache), 1)
+        power.values.clear()
+        assert schur_to_power((3, 1), cache).values == expected
+
+    def test_one_row_read_per_shape_and_cache(self, monkeypatch):
+        reads, row = [], mn._row
+
+        def counted(lam, classes, cache):
+            reads.append(lam)
+            return row(lam, classes, cache)
+
+        monkeypatch.setattr(mn, "_row", counted)
+        shapes = [(3, 1), (2, 2), (4, 2, 1), (1,), ()]
+        cache = CharCache()
+        for _ in range(3):
+            for lam in shapes:
+                schur_to_power(lam, cache)
+        assert sorted(reads) == sorted(shapes)
+        schur_to_power((3, 1), CharCache())
+        assert reads.count((3, 1)) == 2
 
 
 class TestCharCache:
