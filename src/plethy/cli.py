@@ -25,7 +25,7 @@ from .characters import (
     boxplus_classfunction,
     decompose,
 )
-from .config import Config, load_config
+from .config import MAX_QUOTIENT_D, Config, check_limit, load_config
 from .mn import CharCache, character_table
 from .partitions import (
     PartitionError,
@@ -126,7 +126,7 @@ def _classfunction_json(phi: SymFunc, n: int) -> dict:
 def cmd_boxplus(args: argparse.Namespace, config: Config, cache: CharCache) -> int:
     lam = parse_partition(args.lam)
     # The limits verify thm1 applies to the same class functions.
-    verify_mod.check_limit("--d", args.d, config.thm1_d)
+    check_limit("--d", args.d, config.thm1_d)
     if sum(lam) > config.thm1_n:
         raise ValueError(f"|lambda| = {sum(lam)} exceeds the limit {config.thm1_n}")
     names = (ROUTE_DIRECT, ROUTE_PLETHYSTIC) if args.route == ROUTE_BOTH else (args.route,)
@@ -165,8 +165,8 @@ def cmd_boxplus(args: argparse.Namespace, config: Config, cache: CharCache) -> i
 
 def cmd_quotient(args: argparse.Namespace) -> int:
     nu = parse_partition(args.nu)
-    # No d-ribbon fits in nu when d > |nu|.
-    verify_mod.check_limit("--d", args.d, max(sum(nu), 1))
+    # No d-ribbon fits in nu when d > |nu|; the output has d components.
+    check_limit("--d", args.d, min(max(sum(nu), 1), MAX_QUOTIENT_D))
     sign = d_sign(nu, args.d)
     payload = {
         "nu": format_partition(nu),
@@ -180,14 +180,13 @@ def cmd_quotient(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, config: Config, cache: CharCache) -> int:
-    limits = (config.thm1_n, config.thm1_d, config.littlewood_size, config.thm2_n, config.thm2_d)
-    sweep = verify_mod.sweep_table(*limits).get(args.which)
+    sweep = verify_mod.sweep_table(config).get(args.which)
     taken = ("d", sweep.size_name) if sweep else ()
     for flag in ("n", "d", "max_size"):
         if getattr(args, flag) is not None and flag not in taken:
             raise ValueError(f"verify {args.which} does not take --{flag.replace('_', '-')}")
     if sweep is None:
-        reports = verify_mod.run_verify_all(*limits, cache)
+        reports = verify_mod.run_verify_all(config, cache)
     else:
         size, d = getattr(args, sweep.size_name), args.d
         if size is None or d is None:

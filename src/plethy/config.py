@@ -3,25 +3,36 @@
 Stored as a plain "key = value" text file.  Blank lines and lines starting
 with "#" are ignored.  Unknown and repeated keys are rejected so that typos
 and stale lines surface instead of silently deciding a setting.
+
+The one home of the limit policy (the default limits, the fixed ceilings
+and check_limit) for mn, verify and cli.  Imports nothing from plethy, so
+loading the settings loads no engine.
 """
 
 from __future__ import annotations
 
 import os
 
-from .mn import DEFAULT_TABLE_LIMIT
-from .verify import (
-    DEFAULT_LITTLEWOOD_SIZE,
-    DEFAULT_THM1_D,
-    DEFAULT_THM1_N,
-    DEFAULT_THM2_D,
-    DEFAULT_THM2_N,
-)
+DEFAULT_TABLE_LIMIT = 18
+DEFAULT_THM1_N = 5
+DEFAULT_THM1_D = 3
+DEFAULT_LITTLEWOOD_SIZE = 8
+DEFAULT_THM2_N = 4
+DEFAULT_THM2_D = 3
+DEFAULT_ORACLE_N = 3  # also a ceiling: the oracle's size is min(thm2_n, this)
+MAX_QUOTIENT_D = 100_000  # quotient's output has d components, so d bounds its time and memory
 
 OUTPUT_FORMATS = ("json", "csv")
 _INT_KEYS = ("max_table_n", "thm1_n", "thm1_d", "littlewood_size", "thm2_n", "thm2_d")
 _STR_KEYS = ("cache_path", "output_format")
 _KEYS = ("cache_path", *_INT_KEYS, "output_format")  # the order of to_text
+
+
+def check_limit(name: str, value: int, limit: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be positive, got {value}")
+    if value > limit:
+        raise ValueError(f"{name} = {value} exceeds the limit {limit}")
 
 
 def default_cache_path() -> str:

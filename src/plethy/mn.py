@@ -19,9 +19,9 @@ from collections import defaultdict
 from typing import Iterable
 
 from .abacus import decode_mask, encode_mask, mask_ribbons as remove_ribbons  # benchmarks/tracing.py wraps this name
+from .config import DEFAULT_TABLE_LIMIT
 from .partitions import Partition, check_partition, format_partition, parse_partition, partitions_of
 
-DEFAULT_TABLE_LIMIT = 18
 _CLEAR_HINT = "; run 'plethy cache clear' to delete the cache file"
 _FILE_STATS = ("bytes", "lines", "duplicate_lines", "malformed_lines", "largest_n")
 _CALLER_FRAMES = 500  # the stack depth a miss leaves the kernel's callers
@@ -60,8 +60,8 @@ class CharCache:
     the new one, never a torn line.  Of two concurrent flushes the last one
     wins; entries only the other one wrote are recomputed when next needed.
     'plethy cache clear' deletes the file without reading it.  Inside,
-    shapes are bead masks (abacus.encode_mask); get takes partitions and
-    checks them like mn_value.  _shapes, the rows of _shape_row, repeats
+    shapes are bead masks (abacus.encode_mask); values are read through
+    mn_value and _row only.  _shapes, the rows of _shape_row, repeats
     values of the memo: len does not count it and the file never holds it.
     """
 
@@ -78,10 +78,6 @@ class CharCache:
             with contextlib.suppress(FileNotFoundError):
                 self.file_stats = _read(self.path, self._values)
             self._on_disk, self._unsaved = _masks(self._values), defaultdict(set)
-
-    def get(self, nu: Partition, rho: Partition) -> int | None:
-        nu, rho = _checked(nu, rho)
-        return self._values.get(rho, {}).get(encode_mask(nu))
 
     def flush(self) -> None:
         """If an answer asked since the last load or flush is missing from the
@@ -187,8 +183,14 @@ def _masks(values: dict[Partition, dict[int, int]]) -> defaultdict[Partition, se
 _default_cache = CharCache()
 
 
-def _checked(nu: Partition, rho: Partition) -> tuple[Partition, Partition]:
-    """The checked pair (nu, rho), with |nu| = |rho|."""
+def mn_value(nu: Partition, rho: Partition, cache: CharCache | None = None) -> int:
+    """The irreducible character of shape nu at the class of cycle type rho.
+
+    Exact integer; both are checked, and |nu| must equal |rho|.  Read as
+    the one-class row of nu through _row: memoized (with every intermediate
+    pair the recursion touches) in the given cache or the process-wide
+    default, and recorded as an answer to persist by a cache with a path.
+    """
     nu = check_partition(nu)
     rho = check_partition(rho)
     if sum(nu) != sum(rho):
@@ -196,18 +198,6 @@ def _checked(nu: Partition, rho: Partition) -> tuple[Partition, Partition]:
             f"degree mismatch: |{format_partition(nu) or '()'}| = {sum(nu)}"
             f" but |{format_partition(rho) or '()'}| = {sum(rho)}"
         )
-    return nu, rho
-
-
-def mn_value(nu: Partition, rho: Partition, cache: CharCache | None = None) -> int:
-    """The irreducible character of shape nu at the class of cycle type rho.
-
-    Exact integer; |nu| must equal |rho|.  Read as the one-class row of nu
-    through _row: memoized (with every intermediate pair the recursion
-    touches) in the given cache or the process-wide default, and recorded
-    as an answer to persist by a cache with a path.
-    """
-    nu, rho = _checked(nu, rho)
     return _row(nu, (rho,), cache)[rho]
 
 

@@ -41,6 +41,16 @@ from .characters import (
     decompose,
     scaled_classfunction,
 )
+from .config import (
+    DEFAULT_LITTLEWOOD_SIZE,
+    DEFAULT_ORACLE_N,
+    DEFAULT_THM1_D,
+    DEFAULT_THM1_N,
+    DEFAULT_THM2_D,
+    DEFAULT_THM2_N,
+    Config,
+    check_limit,
+)
 from .mn import CharCache, _row
 from .partitions import (
     Partition,
@@ -62,13 +72,6 @@ LITTLEWOOD = "Littlewood"
 THM2_DIV = "Thm2Div"
 THM2_VANISH = "Thm2Vanish"
 HALL_ORACLE = "HallOracle"
-
-DEFAULT_THM1_N = 5
-DEFAULT_THM1_D = 3
-DEFAULT_LITTLEWOOD_SIZE = 8
-DEFAULT_THM2_N = 4
-DEFAULT_THM2_D = 3
-DEFAULT_ORACLE_N = 3
 
 
 class VerificationReport:
@@ -102,13 +105,6 @@ class VerificationReport:
 
     def without_timing(self) -> "VerificationReport":
         return VerificationReport(self.theorem, self.params, self.cases_checked, self.failures, 0)
-
-
-def check_limit(name: str, value: int, limit: int) -> None:
-    if value < 1:
-        raise ValueError(f"{name} must be positive, got {value}")
-    if value > limit:
-        raise ValueError(f"{name} = {value} exceeds the limit {limit}")
 
 
 def _timed(
@@ -492,26 +488,25 @@ class Sweep(NamedTuple):
     default: tuple[int, int] | None
 
 
-def sweep_table(
-    thm1_n: int = DEFAULT_THM1_N,
-    thm1_d: int = DEFAULT_THM1_D,
-    littlewood_size: int = DEFAULT_LITTLEWOOD_SIZE,
-    thm2_n: int = DEFAULT_THM2_N,
-    thm2_d: int = DEFAULT_THM2_D,
-) -> dict[str, Sweep]:
-    """Every sweep by its CLI name, in the order run_verify_all runs them.
+def sweep_table(config: Config | None = None) -> dict[str, Sweep]:
+    """Every sweep by its CLI name, in the order run_verify_all runs them,
+    under the limits of config (None: the defaults).
 
     The d-grids start at 2 (d = 1 cases are identities).  The vanishing
     sweep keeps only the pairs with d not dividing n, and a single run of it
-    defaults to the last of them.
+    defaults to the last of them.  The oracle's size is also bounded by
+    DEFAULT_ORACLE_N.
     """
+    c = Config() if config is None else config
+    thm1_n, thm1_d, littlewood_size, thm2_n, thm2_d = c.thm1_n, c.thm1_d, c.littlewood_size, c.thm2_n, c.thm2_d
     thm1_ds = range(2, thm1_d + 1)
     thm2_ds = range(2, thm2_d + 1)
     thm1_grid = [(n, d) for n in range(1, thm1_n + 1) for d in thm1_ds]
     thm2_grid = [(n, d) for n in range(1, thm2_n + 1) for d in thm2_ds]
     vanish_grid = [(n, d) for n, d in thm2_grid if n % d]
     littlewood_grid = [(littlewood_size, d) for d in thm1_ds]
-    oracle_grid = [(n, d) for n in range(1, min(thm2_n, DEFAULT_ORACLE_N) + 1) for d in thm2_ds]
+    oracle_limits = (min(thm2_n, DEFAULT_ORACLE_N), thm2_d)
+    oracle_grid = [(n, d) for n in range(1, oracle_limits[0] + 1) for d in thm2_ds]
     thm1_limits = (thm1_n, thm1_d)
     thm2_limits = (thm2_n, thm2_d)
     return {
@@ -524,23 +519,13 @@ def sweep_table(
         "thm2-vanish": Sweep(
             verify_theorem2_vanish, "n", vanish_grid, thm2_limits, vanish_grid[-1] if vanish_grid else None
         ),
-        "oracle": Sweep(
-            verify_hall_oracle, "n", oracle_grid, (DEFAULT_ORACLE_N, thm2_d), (min(thm2_n, DEFAULT_ORACLE_N), thm2_d)
-        ),
+        "oracle": Sweep(verify_hall_oracle, "n", oracle_grid, oracle_limits, oracle_limits),
     }
 
 
-def run_verify_all(
-    thm1_n: int = DEFAULT_THM1_N,
-    thm1_d: int = DEFAULT_THM1_D,
-    littlewood_size: int = DEFAULT_LITTLEWOOD_SIZE,
-    thm2_n: int = DEFAULT_THM2_N,
-    thm2_d: int = DEFAULT_THM2_D,
-    cache: CharCache | None = None,
-) -> list[VerificationReport]:
-    """Run every sweep over its grid, in the order of sweep_table."""
+def run_verify_all(config: Config | None = None, cache: CharCache | None = None) -> list[VerificationReport]:
+    """Run every sweep over its grid under the limits of config (None: the
+    defaults), in the order of sweep_table."""
     return [
-        sweep.function(size, d, *sweep.limits, cache)
-        for sweep in sweep_table(thm1_n, thm1_d, littlewood_size, thm2_n, thm2_d).values()
-        for size, d in sweep.grid
+        sweep.function(size, d, *sweep.limits, cache) for sweep in sweep_table(config).values() for size, d in sweep.grid
     ]

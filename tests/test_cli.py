@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -163,6 +164,18 @@ class TestQuotient:
         code, out, err = run_cli(capsys, "quotient", "", "--d", "2")
         assert code == 2
         assert "--d = 2 exceeds the limit 1" in err
+
+    def test_d_at_the_ceiling_is_accepted(self, capsys):
+        code, out, err = run_cli(capsys, "quotient", "100000", "--d", "100000")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["quotient"] == [""] * 99999 + ["1"]
+
+    def test_d_past_the_ceiling_rejected_before_any_work(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "quotient", "1000000", "--d", "1000000")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == "error: --d = 1000000 exceeds the limit 100000\n"
 
     @pytest.mark.parametrize(
         "nu, d, quotient",
@@ -328,6 +341,17 @@ class TestVerifyCommand:
         assert code == 0 and out == ""
         data = json.loads(target.read_text(encoding="utf-8"))
         assert data["theorem"] == "Littlewood" and data["status"] == "PASS"
+
+    def test_oracle_limit_follows_thm2_n(self, capsys, tmp_path):
+        cfg = tmp_path / "plethy.cfg"
+        write_config(cfg, cache_path=str(tmp_path / "mn.txt"), thm2_n=1, thm2_d=2)
+        code, out, err = run_cli(capsys, "--config", str(cfg), "verify", "oracle", "--n", "3", "--d", "2")
+        assert (code, out) == (2, "")
+        assert "n = 3 exceeds the limit 1" in err
+        code, out, err = run_cli(capsys, "--config", str(cfg), "verify", "oracle")
+        assert code == 0, err
+        data = json.loads(out)
+        assert data["status"] == "PASS" and data["params"] == {"n": 1, "d": 2}
 
     def test_littlewood_default_d_follows_thm1_d(self, capsys, tmp_path):
         cfg = tmp_path / "plethy.cfg"

@@ -3,6 +3,7 @@ is paid on each run.  These modules cost milliseconds of start-up and plethy
 does not need them: dataclasses and what it drags in (inspect, ast, dis,
 tokenize), and csv, which only the CSV output branches load."""
 
+import ast
 import json
 import os
 import subprocess
@@ -86,3 +87,18 @@ def test_csv_branches_import_csv_themselves(tmp_path, argv, expected):
     proc = run_python(tmp_path, "-m", "plethy.cli", *argv)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == expected
+
+
+def test_config_imports_no_plethy_module():
+    """Loading the settings loads no engine: config holds the limits that
+    mn, verify and cli import, and imports nothing from plethy itself."""
+    with open(os.path.join(os.path.dirname(plethy.__file__), "config.py"), encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    modules = [
+        "." * node.level + (node.module or "") if isinstance(node, ast.ImportFrom) else alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert "os" in modules
+    assert [name for name in modules if name[0] == "." or name.partition(".")[0] == "plethy"] == []

@@ -223,9 +223,12 @@ class TestCharCache:
         computed = {(lam, mu): mn_value(lam, mu, cache) for lam in partitions_of(4) for mu in partitions_of(4)}
         cache.flush()
         reloaded = CharCache(path)
-        assert len(reloaded) > 0
+        loaded = len(reloaded)
+        assert loaded > 0
         for (lam, mu), value in computed.items():
-            assert reloaded.get(lam, mu) == value
+            assert mn_value(lam, mu, reloaded) == value
+        # Nothing was recomputed: every value came from the file.
+        assert len(reloaded) == loaded
 
     def test_disk_format(self, tmp_path):
         path = tmp_path / "cache.txt"
@@ -237,7 +240,8 @@ class TestCharCache:
     def test_duplicate_lines_must_agree(self, tmp_path):
         path = tmp_path / "cache.txt"
         path.write_text("4,4|2,2,2,2=6\n4,4|2,2,2,2=6\n")
-        assert CharCache(path).get((4, 4), (2, 2, 2, 2)) == 6
+        cache = CharCache(path)
+        assert mn_value((4, 4), (2, 2, 2, 2), cache) == 6 and len(cache) == 1
         path.write_text("4,4|2,2,2,2=6\n4,4|2,2,2,2=7\n")
         with pytest.raises(CacheFormatError):
             CharCache(path)
@@ -246,7 +250,7 @@ class TestCharCache:
         path = tmp_path / "cache.txt"
         path.write_text("not a cache line\n4,4|2,2,2,2=6\n")
         cache = CharCache(path)
-        assert len(cache) == 1 and cache.get((4, 4), (2, 2, 2, 2)) == 6
+        assert mn_value((4, 4), (2, 2, 2, 2), cache) == 6 and len(cache) == 1
         assert cache.file_stats["malformed_lines"] == 1
 
     @pytest.mark.parametrize(
@@ -268,8 +272,8 @@ class TestCharCache:
         path = tmp_path / "cache.txt"
         path.write_text("4,4|2,2,2,2=6\n\n" + line, encoding="latin-1")
         cache = CharCache(path)
+        assert mn_value((4, 4), (2, 2, 2, 2), cache) == 6
         assert len(cache) == 1
-        assert cache.get((4, 4), (2, 2, 2, 2)) == 6
         assert cache.file_stats == {
             "bytes": path.stat().st_size,
             "lines": 3,
@@ -376,11 +380,11 @@ class TestCharCache:
             (((2, 1), (2, 2)), DegreeMismatchError),
         ],
     )
-    def test_get_checks_like_mn_value(self, tmp_path, args, error):
+    def test_mn_value_checks_before_touching_the_cache(self, tmp_path, args, error):
         path = tmp_path / "cache.txt"
         cache = CharCache(path)
         with pytest.raises(error):
-            cache.get(*args)
+            mn_value(*args, cache)
         assert len(cache) == 0
         cache.flush()
         assert not path.exists()
@@ -428,9 +432,9 @@ class TestAnswersOnly:
         cache.flush()
         reloaded = CharCache(path)
         row = {mu: mn_value((2, 1), mu) for mu in partitions_of(3)}
+        assert {mu: mn_value((2, 1), mu, reloaded) for mu in row} == row
+        assert mn_value((2, 2), (2, 2), reloaded) == 2
         assert len(reloaded) == len(row) + 1
-        assert {mu: reloaded.get((2, 1), mu) for mu in row} == row
-        assert reloaded.get((2, 2), (2, 2)) == 2
 
     def test_table_writes_one_line_per_entry(self, tmp_path):
         path = tmp_path / "cache.txt"

@@ -113,7 +113,16 @@ MODULE_NAMES = {
     ],
     "config": [
         "Config",
+        "DEFAULT_LITTLEWOOD_SIZE",
+        "DEFAULT_ORACLE_N",
+        "DEFAULT_TABLE_LIMIT",
+        "DEFAULT_THM1_D",
+        "DEFAULT_THM1_N",
+        "DEFAULT_THM2_D",
+        "DEFAULT_THM2_N",
+        "MAX_QUOTIENT_D",
         "OUTPUT_FORMATS",
+        "check_limit",
         "default_cache_path",
         "load_config",
         "parse_config",
@@ -122,7 +131,6 @@ MODULE_NAMES = {
     "mn": [
         "CacheFormatError",
         "CharCache",
-        "DEFAULT_TABLE_LIMIT",
         "DegreeMismatchError",
         "character_table",
         "mn_value",
@@ -158,12 +166,6 @@ MODULE_NAMES = {
         "to_power",
     ],
     "verify": [
-        "DEFAULT_LITTLEWOOD_SIZE",
-        "DEFAULT_ORACLE_N",
-        "DEFAULT_THM1_D",
-        "DEFAULT_THM1_N",
-        "DEFAULT_THM2_D",
-        "DEFAULT_THM2_N",
         "HALL_ORACLE",
         "LITTLEWOOD",
         "Sweep",
@@ -172,7 +174,6 @@ MODULE_NAMES = {
         "THM2_DIV",
         "THM2_VANISH",
         "VerificationReport",
-        "check_limit",
         "f_dim",
         "hall_summation_oracle",
         "orbit_divisibility_check",
@@ -189,7 +190,7 @@ MODULE_NAMES = {
 
 # The public attributes of an instance, methods and properties included.
 CLASS_ATTRIBUTES = {
-    "CharCache": ["file_stats", "flush", "get", "path"],
+    "CharCache": ["file_stats", "flush", "path"],
     "SymFunc": ["degrees", "is_zero", "terms", "values"],
 }
 

@@ -10,6 +10,7 @@ from plethy import characters as characters_mod
 from plethy import verify as verify_mod
 from plethy import (
     CharCache,
+    Config,
     SymFunc,
     VerificationReport,
     boxplus,
@@ -557,7 +558,7 @@ class TestRunVerifyAll:
 
             monkeypatch.setattr(verify_mod, name, record)
         cache = CharCache()
-        reports = run_verify_all(thm1_n=2, thm1_d=2, littlewood_size=3, thm2_n=2, thm2_d=2, cache=cache)
+        reports = run_verify_all(Config(thm1_n=2, thm1_d=2, littlewood_size=3, thm2_n=2, thm2_d=2), cache)
         assert len(calls) == len(reports) == 10
         assert all(call[3] is report for call, report in zip(calls, reports))
         assert {call[0] for call in calls} == set(SWEEP_NAMES)
@@ -565,7 +566,7 @@ class TestRunVerifyAll:
         assert all(len(args) == 5 and args[4] is cache and not kwargs for _, args, kwargs, _ in calls)
 
     def test_fixed_order_and_grids(self):
-        reports = run_verify_all(thm1_n=2, thm1_d=2, littlewood_size=3, thm2_n=2, thm2_d=2)
+        reports = run_verify_all(Config(thm1_n=2, thm1_d=2, littlewood_size=3, thm2_n=2, thm2_d=2))
         assert [r.theorem for r in reports] == [
             "Thm1", "Thm1",
             "Thm1Scaled", "Thm1Scaled",
@@ -595,7 +596,8 @@ class TestFailureOutput:
     """Every sweep's failure records, pinned byte for byte: wrong big-shape
     rows, a plethystic route off at two classes and an abacus route off by
     p_1 make all six sweeps report, and the timing-free reports of
-    run_verify_all(3, 3, 4, 3, 3) hash to a fixed value."""
+    run_verify_all under thm1_n = 3, thm1_d = 3, littlewood_size = 4,
+    thm2_n = 3 and thm2_d = 3 hash to a fixed value."""
 
     FAILURES = 111
     SHA256 = "66aac523f0364ff93a87e8442a99008e509bfba797ec60584a54b1206a1f5447"
@@ -617,7 +619,8 @@ class TestFailureOutput:
             verify_mod.symfunc, "phi_d_littlewood",
             lambda nu, d, cache=None: real_littlewood(nu, d, cache) + SymFunc({(1,): 1}),
         )
-        reports = run_verify_all(3, 3, 4, 3, 3, CharCache())
+        config = Config(thm1_n=3, thm1_d=3, littlewood_size=4, thm2_n=3, thm2_d=3)
+        reports = run_verify_all(config, CharCache())
         assert {report.theorem for report in reports if report.status == "FAIL"} == {
             "Thm1", "Thm1Scaled", "Littlewood", "Thm2Div", "Thm2Vanish", "HallOracle",
         }
