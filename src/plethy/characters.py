@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import symfunc
+from .config import _check_positive
 from .mn import CharCache, _row, mn_value
 from .partitions import (
     Partition,
@@ -56,15 +57,14 @@ def boxplus_classfunction(
     The routes must agree exactly; the verification sweeps assert it.
     """
     lam = check_partition(lam)
-    if d < 1:
-        raise ValueError(f"grid factor must be positive, got {d}")
+    _check_positive("grid factor", d)
     n = sum(lam)
     if route == ROUTE_DIRECT:
         big = boxplus(lam, d)
         # Stays on mn_value until ROADMAP item 1: tests/test_tracing_contract.py requires its calls.
         values = {mu: mn_value(big, boxplus(mu, d), cache) for mu in partitions_of(n)}
     elif route == ROUTE_PLETHYSTIC:
-        power = symfunc.power_d(symfunc.schur_to_power(lam, cache), d)
+        power = symfunc._schur_power(lam, d, cache)
         values = {}
         for mu in partitions_of(n):
             nu = union_power(mu, d)  # p_nu has the class value z_nu
@@ -78,6 +78,7 @@ def scaled_classfunction(lam: Partition, d: int, cache: CharCache | None = None)
     """The class function of S_n, n = |lam|, whose value at mu is the
     character of shape d*lam at the class d*mu."""
     lam = check_partition(lam)
+    _check_positive("scale factor", d)
     classes = {mu: scale(mu, d) for mu in partitions_of(sum(lam))}
     row = _row(scale(lam, d), classes.values(), cache)
     return SymFunc._of({mu: row[cls] for mu, cls in classes.items()})

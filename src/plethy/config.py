@@ -4,9 +4,9 @@ Stored as a plain "key = value" text file.  Blank lines and lines starting
 with "#" are ignored.  Unknown and repeated keys are rejected so that typos
 and stale lines surface instead of silently deciding a setting.
 
-The one home of the limit policy (the default limits, the fixed ceilings
-and check_limit) for mn, verify and cli.  Imports nothing from plethy, so
-loading the settings loads no engine.
+The one home of the limit policy (the default limits, the fixed ceilings,
+check_limit and its int check) for the engine and cli.  Imports nothing
+from plethy, so loading the settings loads no engine.
 """
 
 from __future__ import annotations
@@ -28,9 +28,15 @@ _STR_KEYS = ("cache_path", "output_format")
 _KEYS = ("cache_path", *_INT_KEYS, "output_format")  # the order of to_text
 
 
-def check_limit(name: str, value: int, limit: int) -> None:
+def _check_positive(name: str, value: int) -> None:
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise ValueError(f"{name} must be positive, got {value}")
+
+
+def check_limit(name: str, value: int, limit: int) -> None:
+    _check_positive(name, value)
     if value > limit:
         raise ValueError(f"{name} = {value} exceeds the limit {limit}")
 

@@ -7,7 +7,8 @@ types suffixes of the one asked for, each with one memo table {bead mask: value}
 Every value is read through _row, mn_value's one-class rows included, and
 computed on a miss by _miss, which recurses once per part of the class.  The
 recursion states stay in memory; the file keeps only the answers _row was
-asked for.  _shape_row memoizes whole rows per shape, outside len and file.
+asked for.  Rows per shape (_shape_row) and the powers s_lam^d per (lam, d)
+(symfunc._schur_power) are memoized per cache too, outside len and file.
 """
 
 from __future__ import annotations
@@ -61,14 +62,16 @@ class CharCache:
     wins; entries only the other one wrote are recomputed when next needed.
     'plethy cache clear' deletes the file without reading it.  Inside,
     shapes are bead masks (abacus.encode_mask); values are read through
-    mn_value and _row only.  _shapes, the rows of _shape_row, repeats
-    values of the memo: len does not count it and the file never holds it.
+    mn_value and _row only.  _shapes (the rows of _shape_row) and _powers
+    (symfunc._schur_power's s_lam^d) repeat derived values: len does not
+    count them and the file never holds them.
     """
 
     def __init__(self, path: str | os.PathLike | None = None):
         self.path = os.fspath(path) if path is not None else None
         self._values: defaultdict[Partition, dict[int, int]] = defaultdict(dict)
         self._shapes: dict[Partition, dict[Partition, int]] = {}
+        self._powers: dict[tuple[Partition, int], object] = {}  # symfunc._schur_power's SymFuncs
         self.file_stats = dict.fromkeys(_FILE_STATS, 0)
         # By cycle type: the bead masks of the file as last loaded or
         # flushed, and the answers asked since that it lacks.  None without

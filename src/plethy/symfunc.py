@@ -16,7 +16,8 @@ Other values stay exact Fractions; there is no floating point here.  The
 public constructor takes power-sum coefficients and checks every key, and
 SymFunc.terms gives them back as {mu: Fraction}; the module's own results
 are trusted and only drop zero values.  Schur expansions are plain
-{partition: int or Fraction} dicts (power_to_schur, to_power).
+{partition: int or Fraction} dicts (power_to_schur, to_power).  The powers
+s_lam^d that the plethystic route and thm2-div read are memoized per cache.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Mapping
 
 from . import mn
 from .abacus import d_quotient, d_sign
+from .config import _check_positive
 from .partitions import (
     EMPTY,
     Partition,
@@ -149,12 +151,21 @@ def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
 
 def power_d(f: SymFunc, d: int) -> SymFunc:
     """d-th multiplicative power of f."""
-    if d < 1:
-        raise ValueError(f"exponent must be positive, got {d}")
+    _check_positive("exponent", d)
     result = f
     for _ in range(d - 1):
         result = multiply(result, f)
     return result
+
+
+def _schur_power(lam: Partition, d: int, cache: mn.CharCache | None) -> SymFunc:
+    """power_d(schur_to_power(lam, cache), d), built once per cache and kept in its
+    _powers; lam and d must be checked.  Callers only read it, through hall_inner."""
+    powers = (cache if cache is not None else mn._default_cache)._powers
+    power = powers.get((lam, d))
+    if power is None:
+        power = powers[lam, d] = power_d(schur_to_power(lam, cache), d)
+    return power
 
 
 def hall_inner(f: SymFunc, g: SymFunc) -> int | Fraction:
@@ -178,8 +189,7 @@ def hall_inner(f: SymFunc, g: SymFunc) -> int | Fraction:
 def psi_d(f: SymFunc, d: int) -> SymFunc:
     """Substitute each variable by its d-th power: p_mu goes to p_(d*mu), and
     z_(d*mu) = d^len(mu) * z_mu."""
-    if d < 1:
-        raise ValueError(f"substitution power must be positive, got {d}")
+    _check_positive("substitution power", d)
     return SymFunc._of({scale(mu, d): value * d ** len(mu) for mu, value in f.values.items()})
 
 
@@ -189,8 +199,7 @@ def phi_d_power(f: SymFunc, d: int) -> SymFunc:
     p_nu maps to d^len(nu) * p_(nu/d) when every part of nu is divisible by
     d, and to zero otherwise; as z_nu = d^len(nu) * z_(nu/d), F_(nu/d) = F_nu.
     """
-    if d < 1:
-        raise ValueError(f"substitution power must be positive, got {d}")
+    _check_positive("substitution power", d)
     divisible = (nu for nu in f.values if not any(part % d for part in nu))
     return SymFunc._of({tuple(part // d for part in nu): f.values[nu] for nu in divisible})
 

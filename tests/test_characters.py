@@ -182,6 +182,12 @@ class TestBoxplusClassFunction:
         with pytest.raises(ValueError, match="unknown route"):
             boxplus_classfunction((1,), 2, "sideways")
 
+    @pytest.mark.parametrize("route", [ROUTE_DIRECT, ROUTE_PLETHYSTIC])
+    @pytest.mark.parametrize("d", [2.0, True])
+    def test_non_int_d_rejected(self, route, d):
+        with pytest.raises(ValueError, match=f"grid factor must be an integer, got {d!r}"):
+            boxplus_classfunction((2, 1), d, route)
+
     def test_against_tuple_summation_oracle(self):
         for n in range(1, 4):
             for d in (2, 3):
@@ -206,6 +212,11 @@ class TestScaledClassFunction:
     @pytest.mark.parametrize("d", [0, -1])
     def test_nonpositive_d_rejected(self, d):
         with pytest.raises(ValueError, match=f"scale factor must be positive, got {d}"):
+            scaled_classfunction((2, 1), d)
+
+    @pytest.mark.parametrize("d", [2.0, True])
+    def test_non_int_d_rejected(self, d):
+        with pytest.raises(ValueError, match=f"scale factor must be an integer, got {d!r}"):
             scaled_classfunction((2, 1), d)
 
     def test_single_box(self):

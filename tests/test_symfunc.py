@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -6,11 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import plethy.mn
+import plethy.symfunc
 from plethy import (
     CharCache,
+    ROUTE_PLETHYSTIC,
     SymFunc,
     boxplus,
+    boxplus_classfunction,
     centralizer_order,
+    character_table,
     check_partition,
     format_rational,
     hall_inner,
@@ -23,10 +28,13 @@ from plethy import (
     power_d,
     power_to_schur,
     psi_d,
+    run_verify_all,
     schur_to_power,
     sort_key,
     to_power,
+    verify_theorem2_div,
 )
+from test_cli import VERIFY_ALL_TABLE_8_CACHE_ENTRIES, VERIFY_ALL_TABLE_8_CACHE_SHA256
 
 partitions = st.integers(min_value=0, max_value=8).flatmap(
     lambda n: st.sampled_from(partitions_of(n))
@@ -225,6 +233,11 @@ class TestMultiply:
         f = schur_to_power((2, 1))
         assert power_d(f, 1).terms == f.terms
 
+    @pytest.mark.parametrize("d", [2.0, True])
+    def test_power_d_rejects_a_non_int_exponent(self, d):
+        with pytest.raises(ValueError, match=f"exponent must be an integer, got {d!r}"):
+            power_d(schur_to_power((2, 1)), d)
+
 
 class TestHallInner:
     def test_power_sum_orthogonality(self):
@@ -276,6 +289,17 @@ class TestPsiPhi:
         f = schur_to_power((2, 1))
         assert phi_d_power(f, 1).terms == f.terms
 
+    @pytest.mark.parametrize("d", [2.0, True])
+    def test_psi_rejects_a_non_int_power(self, d):
+        # Unchecked, 2.0 gives float keys and values: {(6.0,): -2.0, (2.0, 2.0, 2.0): 16.0}.
+        with pytest.raises(ValueError, match=f"substitution power must be an integer, got {d!r}"):
+            psi_d(schur_to_power((2, 1)), d)
+
+    @pytest.mark.parametrize("d", [2.0, True])
+    def test_phi_power_rejects_a_non_int_power(self, d):
+        with pytest.raises(ValueError, match=f"substitution power must be an integer, got {d!r}"):
+            phi_d_power(SymFunc({(4, 2): 1}), d)
+
     def test_phi_kills_keys_with_nondivisible_parts(self):
         # p_1 * p_1 is p at (1,1); the adjoint pairs it against p at 2*mu,
         # whose parts are all even, so the image is zero.
@@ -300,6 +324,69 @@ class TestPsiPhi:
             f = random_homogeneous(rng, degree)
             g = random_homogeneous(rng, d * degree)
             assert hall_inner(psi_d(f, d), g) == hall_inner(f, phi_d_power(g, d))
+
+
+class TestSchurPowerMemo:
+    """symfunc._schur_power keeps power_d(schur_to_power(lam), d) per (lam, d)
+    and cache, for the plethystic route of theorem 1 and thm2-div."""
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        calls, power = [], plethy.symfunc.power_d
+
+        def counted(f, d):
+            calls.append(d)
+            return power(f, d)
+
+        monkeypatch.setattr(plethy.symfunc, "power_d", counted)
+        return calls
+
+    def test_each_power_is_computed_once_per_cache(self, products):
+        cache = CharCache()
+        run_verify_all(cache=cache)
+        # Theorem 1 at n <= 5 and d in {2, 3}; thm2-div (n <= 4) only repeats them.
+        assert len(products) == len(cache._powers) == 36
+        run_verify_all(cache=cache)
+        assert len(products) == 36
+        run_verify_all(cache=CharCache())
+        assert len(products) == 72
+
+    def test_memoized_power_is_the_product(self):
+        cache = CharCache()
+        for n in range(6):
+            for lam in partitions_of(n):
+                for d in (1, 2, 3):
+                    power = plethy.symfunc._schur_power(lam, d, cache)
+                    assert power == power_d(schur_to_power(lam), d)
+                    assert plethy.symfunc._schur_power(lam, d, cache) is power
+
+    def test_len_and_cache_file_do_not_see_the_memo(self, tmp_path):
+        path = tmp_path / "mn.txt"
+        cache = CharCache(path)
+        run_verify_all(cache=cache)
+        character_table(8, cache=cache)
+        cache.flush()
+        written, size = path.read_bytes(), len(cache)
+        assert hashlib.sha256(written).hexdigest() == VERIFY_ALL_TABLE_8_CACHE_SHA256
+        assert written.count(b"\n") == VERIFY_ALL_TABLE_8_CACHE_ENTRIES
+        # Powers the sweeps never asked for: rows already read, so no new entry.
+        for lam in partitions_of(5):
+            plethy.symfunc._schur_power(lam, 4, cache)
+        cache.flush()
+        assert (path.read_bytes(), len(cache)) == (written, size)
+
+    @pytest.mark.parametrize("d", [2.0, True])
+    def test_non_int_d_is_rejected_once_the_memo_is_filled(self, d):
+        # 2.0 and True hash equal to 2 and 1, so a memo hit would answer them.
+        cache = CharCache()
+        for k in (1, 2):
+            boxplus_classfunction((2, 1), k, ROUTE_PLETHYSTIC, cache)
+        powers = dict(cache._powers)
+        with pytest.raises(ValueError, match=f"grid factor must be an integer, got {d!r}"):
+            boxplus_classfunction((2, 1), d, ROUTE_PLETHYSTIC, cache)
+        with pytest.raises(ValueError, match=f"d must be an integer, got {d!r}"):
+            verify_theorem2_div(3, d, cache=cache)
+        assert cache._powers == powers
 
 
 class TestLittlewoodRoute:

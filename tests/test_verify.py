@@ -100,6 +100,15 @@ class TestTheorem1Sweep:
         with pytest.raises(ValueError, match="n must be positive"):
             verify_theorem1(0, 2)
 
+    @pytest.mark.parametrize(
+        "n, d, message",
+        [(2, 2.0, "d must be an integer, got 2.0"), (True, 2, "n must be an integer, got True")],
+    )
+    def test_non_int_limits_rejected(self, n, d, message):
+        # Unchecked, 2.0 fails deep in the sweep with a TypeError.
+        with pytest.raises(ValueError, match=message):
+            verify_theorem1(n, d)
+
     def test_scaled_sweep_passes(self):
         for n in range(1, 4):
             for d in (2, 3):
