@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import functools
 
-from .partitions import Partition, PartitionError, check_partition
+from .config import _check_positive
+from .partitions import Partition, check_partition
 
 
 # Bounded memo: callers encode the same few shapes again and again.
@@ -75,8 +76,7 @@ def mask_ribbons(mask: int, length: int) -> list[tuple[int, int]]:
 def _beads(nu: Partition, d: int) -> list[int]:
     """The bead positions of nu's abacus on t = d * ceil(len/d) beads, descending:
     row i at nu[i] + t - 1 - i, then the padding beads at pad - 1, ..., 0."""
-    if d < 1:
-        raise PartitionError(f"ribbon length must be positive, got {d}")
+    _check_positive("ribbon length", d)
     nu = check_partition(nu)
     pad = -len(nu) % d
     return [part + len(nu) + pad - 1 - i for i, part in enumerate(nu)] + list(range(pad - 1, -1, -1))
@@ -84,8 +84,9 @@ def _beads(nu: Partition, d: int) -> list[int]:
 
 def _runners(nu: Partition, d: int) -> list[list[int]]:
     """Per residue r, the levels q of the beads q * d + r of nu's abacus, ascending."""
+    beads = _beads(nu, d)
     runners: list[list[int]] = [[] for _ in range(d)]
-    for bead in reversed(_beads(nu, d)):
+    for bead in reversed(beads):
         runners[bead % d].append(bead // d)
     return runners
 
@@ -119,10 +120,11 @@ def d_sign(nu: Partition, d: int) -> int | None:
     computed as the sign of the permutation sorting the beads into the
     packed-runner configuration, which is stripping-order independent.
     """
+    beads = _beads(nu, d)
     # In ascending position, the k-th bead of runner r (0-based) comes to rest at k * d + r.
     seen = [0] * d
     rest = []
-    for bead in reversed(_beads(nu, d)):
+    for bead in reversed(beads):
         rest.append(seen[bead % d] * d + bead % d)
         seen[bead % d] += 1
     # The d-core is empty exactly when every runner holds the same number of

@@ -7,8 +7,8 @@ types suffixes of the one asked for, each with one memo table {bead mask: value}
 Every value is read through _row, mn_value's one-class rows included, and
 computed on a miss by _miss, which recurses once per part of the class.  The
 recursion states stay in memory; the file keeps only the answers _row was
-asked for.  Rows per shape (_shape_row) and the powers s_lam^d per (lam, d)
-(symfunc._schur_power) are memoized per cache too, outside len and file.
+asked for.  One derived memo per cache, outside len and file, keeps the
+powers s_lam^d per (lam, d) (symfunc._schur_power), the rows d = 1 included.
 """
 
 from __future__ import annotations
@@ -48,29 +48,28 @@ class CharCache:
     the one-class rows of mn_value included.  Recursion states reached on
     the way stay in the memo only.  The format is one entry per line,
     ``<nu parts>|<rho parts>=<decimal integer>``, e.g. ``4,4|2,2,2,2=6``.
-    Loading skips malformed lines (garbage, a last line without its
-    newline, |nu| != |rho|); it fails only when two lines give one pair
-    different values.  file_stats holds the loaded file's
-    bytes, lines, duplicate_lines, malformed_lines and largest_n (the
-    largest size of a loaded entry), all 0 without a file.  flush() does
-    nothing unless an answer is missing from the file as last loaded or
-    flushed; then it rewrites the file as the sorted union of what is on
-    disk now (the recursion states of older files included) and the
-    answers, through a temporary file and os.replace, so its bytes do not
-    depend on the order of computation and a crash leaves the old file or
-    the new one, never a torn line.  Of two concurrent flushes the last one
-    wins; entries only the other one wrote are recomputed when next needed.
+    Loading skips malformed lines (garbage, a last line without its newline,
+    |nu| != |rho|); it fails, naming the line, only when a line gives a pair a
+    value other than the memo's.  file_stats holds the loaded file's bytes,
+    lines, duplicate_lines, malformed_lines and largest_n (the largest size of
+    a loaded entry), all 0 without a file.  flush() does nothing unless an
+    answer is missing from the file as last loaded or flushed; then it loads
+    the file on disk now the same way and rewrites it as the sorted union of
+    its lines (the recursion states of older files included) and the answers,
+    through a temporary file and os.replace, so its bytes do not depend on the
+    order of computation and a crash leaves the old file or the new one, never
+    a torn line.  Of two concurrent flushes the last one wins; entries only
+    the other one wrote are recomputed when next needed.
     'plethy cache clear' deletes the file without reading it.  Inside,
     shapes are bead masks (abacus.encode_mask); values are read through
-    mn_value and _row only.  _shapes (the rows of _shape_row) and _powers
-    (symfunc._schur_power's s_lam^d) repeat derived values: len does not
-    count them and the file never holds them.
+    mn_value and _row only.  _powers (symfunc._schur_power's s_lam^d, the
+    Schur functions themselves at d = 1) repeats derived values: len does
+    not count them and the file never holds them.
     """
 
     def __init__(self, path: str | os.PathLike | None = None):
         self.path = os.fspath(path) if path is not None else None
         self._values: defaultdict[Partition, dict[int, int]] = defaultdict(dict)
-        self._shapes: dict[Partition, dict[Partition, int]] = {}
         self._powers: dict[tuple[Partition, int], object] = {}  # symfunc._schur_power's SymFuncs
         self.file_stats = dict.fromkeys(_FILE_STATS, 0)
         # By cycle type: the bead masks of the file as last loaded or
@@ -78,9 +77,9 @@ class CharCache:
         # a path, where nothing is recorded.
         self._on_disk = self._unsaved = None
         if self.path is not None:
+            self._on_disk, self._unsaved = defaultdict(set), defaultdict(set)
             with contextlib.suppress(FileNotFoundError):
-                self.file_stats = _read(self.path, self._values)
-            self._on_disk, self._unsaved = _masks(self._values), defaultdict(set)
+                self.file_stats, self._on_disk = _read(self.path, self._values)
 
     def flush(self) -> None:
         """If an answer asked since the last load or flush is missing from the
@@ -88,19 +87,9 @@ class CharCache:
         one sorted line per answer or line already there."""
         if not self._unsaved:
             return
-        found: defaultdict[Partition, dict[int, int]] = defaultdict(dict)
+        on_disk: defaultdict[Partition, set[int]] = defaultdict(set)
         with contextlib.suppress(FileNotFoundError):
-            _read(self.path, found)
-        for rho, table in found.items():
-            memo = self._values[rho]
-            for mask, value in table.items():
-                known = memo.setdefault(mask, value)
-                if known != value:
-                    line = f"{format_partition(decode_mask(mask))}|{format_partition(rho)}={value}"
-                    raise CacheFormatError(
-                        f"{self.path}: conflicting values {known} and {value} for {line!r}{_CLEAR_HINT}"
-                    )
-        on_disk = _masks(found)
+            on_disk = _read(self.path, self._values)[1]
         for rho, masks in self._unsaved.items():
             on_disk[rho].update(masks)
         nu_texts: dict[int, str] = {}
@@ -143,10 +132,11 @@ class _Fields(dict):
         return field
 
 
-def _read(path: str, values: defaultdict[Partition, dict[int, int]]) -> dict[str, int]:
-    """Add the entries of the cache file at path to values and return the
-    file's counters (see CharCache.file_stats)."""
-    fields = _Fields()
+def _read(path: str, values: defaultdict[Partition, dict[int, int]]) -> tuple[dict[str, int], defaultdict]:
+    """Add the entries of the cache file at path to values, which must agree
+    with them, and return the file's counters (see CharCache.file_stats) and
+    the bead masks of its lines by cycle type, including pairs values already held."""
+    fields, rows, masks = _Fields(), {}, defaultdict(list)
     lineno = duplicates = malformed = largest = 0
     with open(path, encoding="ascii", errors="replace") as handle:
         size = os.fstat(handle.fileno()).st_size
@@ -163,7 +153,12 @@ def _read(path: str, values: defaultdict[Partition, dict[int, int]]) -> dict[str
             except ValueError:
                 malformed += not line.isspace()
                 continue
-            table = values[rho[1]]
+            # By the cycle type's text, whose hash Python keeps; the masks become sets once, at the end.
+            row = rows.get(rho_text)
+            if row is None:
+                row = rows[rho_text] = values[rho[1]], masks[rho[1]]
+            table, read = row
+            read.append(nu[0])
             known = table.get(nu[0])
             if known is None:
                 table[nu[0]] = value
@@ -175,12 +170,8 @@ def _read(path: str, values: defaultdict[Partition, dict[int, int]]) -> dict[str
                 raise CacheFormatError(
                     f"{path}:{lineno}: conflicting values {known} and {value} for {line.rstrip()!r}{_CLEAR_HINT}"
                 )
-    return dict(zip(_FILE_STATS, (size, lineno, duplicates, malformed, largest)))
-
-
-def _masks(values: dict[Partition, dict[int, int]]) -> defaultdict[Partition, set[int]]:
-    """The bead masks of each table in values, by cycle type."""
-    return defaultdict(set, {rho: set(table) for rho, table in values.items()})
+    stats = dict(zip(_FILE_STATS, (size, lineno, duplicates, malformed, largest)))
+    return stats, defaultdict(set, {rho: set(read) for rho, read in masks.items()})
 
 
 _default_cache = CharCache()
@@ -230,17 +221,6 @@ def _row(lam: Partition, classes: Iterable[Partition], cache: CharCache | None) 
         for mu in row:
             if mask not in on_disk.get(mu, ()):
                 unsaved[mu].add(mask)
-    return row
-
-
-def _shape_row(lam: Partition, cache: CharCache | None) -> dict[Partition, int]:
-    """The nonzero values of lam's row over partitions_of(|lam|), in that order;
-    checks nothing.  Read through _row once per cache and kept in its _shapes,
-    so callers must not mutate it."""
-    cache = cache if cache is not None else _default_cache
-    row = cache._shapes.get(lam)
-    if row is None:
-        row = cache._shapes[lam] = {mu: v for mu, v in _row(lam, partitions_of(sum(lam)), cache).items() if v}
     return row
 
 

@@ -15,6 +15,8 @@ from collections import Counter
 from math import factorial
 from typing import Iterable, Sequence
 
+from .config import _check_positive
+
 Partition = tuple[int, ...]
 
 EMPTY: Partition = ()
@@ -119,15 +121,13 @@ def boxplus(lam: Partition, d: int) -> Partition:
     Each part x of lam becomes d copies of d*x, so the result is a partition
     of d*d*|lam| in which part i*d has multiplicity d*m_i(lam).
     """
-    if d < 1:
-        raise PartitionError(f"grid factor must be positive, got {d}")
+    _check_positive("grid factor", d)
     return tuple(d * part for part in lam for _ in range(d))
 
 
 def scale(lam: Partition, d: int) -> Partition:
     """Multiply every part of lam by d."""
-    if d < 1:
-        raise PartitionError(f"scale factor must be positive, got {d}")
+    _check_positive("scale factor", d)
     return tuple(d * part for part in lam)
 
 
@@ -138,8 +138,7 @@ def union(mu: Partition, nu: Partition) -> Partition:
 
 def union_power(mu: Partition, d: int) -> Partition:
     """Multiset union of d copies of mu (the cycle type of a diagonal element)."""
-    if d < 1:
-        raise PartitionError(f"union power must be positive, got {d}")
+    _check_positive("union power", d)
     return tuple(sorted(mu * d, reverse=True))
 
 

@@ -16,8 +16,8 @@ Other values stay exact Fractions; there is no floating point here.  The
 public constructor takes power-sum coefficients and checks every key, and
 SymFunc.terms gives them back as {mu: Fraction}; the module's own results
 are trusted and only drop zero values.  Schur expansions are plain
-{partition: int or Fraction} dicts (power_to_schur, to_power).  The powers
-s_lam^d that the plethystic route and thm2-div read are memoized per cache.
+{partition: int or Fraction} dicts (power_to_schur, to_power).  Each cache
+memoizes the powers s_lam^d, s_lam itself as d = 1, in one dict.
 """
 
 from __future__ import annotations
@@ -99,10 +99,10 @@ def format_rational(value: Fraction) -> str:
 def schur_to_power(lam: Partition, cache: mn.CharCache | None = None) -> SymFunc:
     """The Schur function of lam: its class values are the character row of lam
     over partitions_of(|lam|), zeros dropped.  Checks lam on every call, then
-    copies the row the cache memoizes per shape into a fresh SymFunc."""
+    copies the cache's memoized power _schur_power(lam, 1) into a fresh SymFunc."""
     lam = check_partition(lam)
     f = object.__new__(SymFunc)
-    f.values = mn._shape_row(lam, cache).copy()
+    f.values = _schur_power(lam, 1, cache).values.copy()
     return f
 
 
@@ -160,11 +160,16 @@ def power_d(f: SymFunc, d: int) -> SymFunc:
 
 def _schur_power(lam: Partition, d: int, cache: mn.CharCache | None) -> SymFunc:
     """power_d(schur_to_power(lam, cache), d), built once per cache and kept in its
-    _powers; lam and d must be checked.  Callers only read it, through hall_inner."""
+    _powers; lam and d must be checked.  At d = 1, lam's row read through mn._row,
+    which schur_to_power copies; other callers only read it, through hall_inner."""
     powers = (cache if cache is not None else mn._default_cache)._powers
     power = powers.get((lam, d))
     if power is None:
-        power = powers[lam, d] = power_d(schur_to_power(lam, cache), d)
+        if d == 1:
+            power = SymFunc._of(mn._row(lam, partitions_of(sum(lam)), cache))
+        else:
+            power = power_d(schur_to_power(lam, cache), d)
+        powers[lam, d] = power
     return power
 
 

@@ -49,6 +49,7 @@ from .config import (
     DEFAULT_THM2_D,
     DEFAULT_THM2_N,
     Config,
+    _check_positive,
     check_limit,
 )
 from .mn import CharCache, _row
@@ -342,8 +343,7 @@ def _ordered_tuples(mu: Partition, n: int, d: int) -> list[tuple[Partition, ...]
 def _oracle_input(lam: Partition, mu: Partition, d: int) -> tuple[Partition, Partition, int]:
     """Checked lam and mu, and n = |lam|, for a tuple summation at the d-scaled
     class of mu; callers read lam's row with mn._row, which does not check it."""
-    if d < 1:
-        raise ValueError(f"d must be positive, got {d}")
+    _check_positive("d", d)
     lam = check_partition(lam)
     mu = check_partition(mu)
     n = sum(lam)

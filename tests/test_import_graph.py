@@ -89,16 +89,46 @@ def test_csv_branches_import_csv_themselves(tmp_path, argv, expected):
     assert proc.stdout == expected
 
 
+PACKAGE = os.path.dirname(plethy.__file__)
+
+# plethy's modules from the bottom up: each imports only modules before it.
+LAYERS = ["config", "partitions", "abacus", "mn", "symfunc", "characters", "verify", "cli"]
+
+
+def imported_modules(name):
+    """Every module plethy/<name>.py imports, nested imports included: plethy's
+    own relative, as ".config"; `from . import symfunc` gives ".symfunc"."""
+    with open(os.path.join(PACKAGE, f"{name}.py"), encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            modules += [base + alias.name for alias in node.names] if base == "." else [base]
+    return modules
+
+
 def test_config_imports_no_plethy_module():
     """Loading the settings loads no engine: config holds the limits that
     mn, verify and cli import, and imports nothing from plethy itself."""
-    with open(os.path.join(os.path.dirname(plethy.__file__), "config.py"), encoding="utf-8") as handle:
-        tree = ast.parse(handle.read())
-    modules = [
-        "." * node.level + (node.module or "") if isinstance(node, ast.ImportFrom) else alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Import, ast.ImportFrom))
-        for alias in node.names
-    ]
+    modules = imported_modules("config")
     assert "os" in modules
     assert [name for name in modules if name[0] == "." or name.partition(".")[0] == "plethy"] == []
+
+
+def test_every_module_has_a_layer():
+    assert sorted(name[:-3] for name in os.listdir(PACKAGE) if name.endswith(".py")) == sorted(LAYERS + ["__init__"])
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_modules_import_only_lower_layers(name):
+    """mn reads no symmetric function and partitions no engine, so the
+    kernel loads and runs without the layers built on it."""
+    own = {
+        module.lstrip(".").removeprefix("plethy.").partition(".")[0]
+        for module in imported_modules(name)
+        if module[0] == "." or module.partition(".")[0] == "plethy"
+    }
+    assert own <= set(LAYERS[: LAYERS.index(name)])

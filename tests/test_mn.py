@@ -1,6 +1,7 @@
 import inspect
 import os
 import random
+import re
 import sys
 import threading
 import time
@@ -348,6 +349,18 @@ class TestCharCache:
         assert path.read_text() == "1,1|2=-1\n2|2=1\n"
         assert len(mine) == 2
 
+    def test_flush_keeps_another_writers_line_held_here_as_a_state(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        mine, theirs = CharCache(path), CharCache(path)
+        mn_value((3,), (2, 1), mine)
+        # Stripping the 2-ribbon leaves 1|1, a recursion state here, not an answer.
+        assert mine._values[(1,)] == {encode_mask((1,)): 1}
+        assert (1,) not in mine._unsaved
+        mn_value((1,), (1,), theirs)
+        theirs.flush()
+        mine.flush()
+        assert path.read_text() == "1|1=1\n3|2,1=1\n"
+
     def test_flush_keeps_conflicts_fatal(self, tmp_path):
         path = tmp_path / "cache.txt"
         cache = CharCache(path)
@@ -357,6 +370,18 @@ class TestCharCache:
             cache.flush()
         assert path.read_text() == "2|2=5\n"
         assert [p.name for p in tmp_path.iterdir()] == ["cache.txt"]
+
+    def test_flush_conflict_names_the_file_line_like_a_load_conflict(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        cache = CharCache(path)
+        mn_value((2,), (2,), cache)
+        path.write_text("1,1|2=-1\n2|2=5\n")
+        line = rf"^{re.escape(str(path))}:2: conflicting values 1 and 5 for '2\|2=5'; run 'plethy cache clear'"
+        with pytest.raises(CacheFormatError, match=line):
+            cache.flush()
+        path.write_text("2|2=1\n1,1|2=-1\n2|2=5\n")
+        with pytest.raises(CacheFormatError, match=line.replace(":2:", ":3:")):
+            CharCache(path)
 
     def test_failed_flush_keeps_the_old_file_and_leaves_no_temporary(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.txt"

@@ -20,6 +20,8 @@ from plethy import (
     union,
     union_power,
 )
+from plethy.abacus import d_core, d_quotient, d_sign
+from plethy.verify import hall_summation_oracle
 
 partitions = st.integers(min_value=0, max_value=10).flatmap(
     lambda n: st.sampled_from(partitions_of(n))
@@ -122,6 +124,36 @@ class TestBoxplusScale:
         assert scaled == tuple(d * part for part in lam)
         assert sum(scaled) == d * sum(lam)
         assert scale(lam, 1) == lam
+
+
+# Every function taking a factor d, its name in the error, and its other arguments.
+FACTOR_FUNCTIONS = [
+    (boxplus, "grid factor", ((2, 1),)),
+    (scale, "scale factor", ((2, 1),)),
+    (union_power, "union power", ((2, 1),)),
+    (d_core, "ribbon length", ((2, 1),)),
+    (d_quotient, "ribbon length", ((2, 1),)),
+    (d_sign, "ribbon length", ((2, 1),)),
+    (hall_summation_oracle, "d", ((2, 1), (2, 1))),
+]
+FACTOR_IDS = [function.__name__ for function, _, _ in FACTOR_FUNCTIONS]
+
+
+class TestIntFactor:
+    """One check, config._check_positive, for the factor d of every partition
+    function: 2.0 and True hash equal to 2 and 1, and only ints are exact."""
+
+    @pytest.mark.parametrize("d", [2.0, True])
+    @pytest.mark.parametrize("function, name, args", FACTOR_FUNCTIONS, ids=FACTOR_IDS)
+    def test_non_int_d_rejected(self, function, name, args, d):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {d!r}$"):
+            function(*args, d)
+
+    @pytest.mark.parametrize("function, name, args", FACTOR_FUNCTIONS, ids=FACTOR_IDS)
+    def test_int_d_below_one_keeps_its_message(self, function, name, args):
+        for d in (0, -1):
+            with pytest.raises(ValueError, match=f"^{name} must be positive, got {d}$"):
+                function(*args, d)
 
 
 class TestUnion:

@@ -345,7 +345,8 @@ class TestSchurPowerMemo:
         cache = CharCache()
         run_verify_all(cache=cache)
         # Theorem 1 at n <= 5 and d in {2, 3}; thm2-div (n <= 4) only repeats them.
-        assert len(products) == len(cache._powers) == 36
+        # The memo holds the Schur functions themselves too, as d = 1.
+        assert len(products) == sum(d >= 2 for _, d in cache._powers) == 36
         run_verify_all(cache=cache)
         assert len(products) == 36
         run_verify_all(cache=CharCache())
@@ -359,6 +360,14 @@ class TestSchurPowerMemo:
                     power = plethy.symfunc._schur_power(lam, d, cache)
                     assert power == power_d(schur_to_power(lam), d)
                     assert plethy.symfunc._schur_power(lam, d, cache) is power
+
+    def test_schur_to_power_copies_the_power_at_d_1(self):
+        cache = CharCache()
+        for n in range(6):
+            for lam in partitions_of(n):
+                f = schur_to_power(lam, cache)
+                memo = plethy.symfunc._schur_power(lam, 1, cache)
+                assert f.values == memo.values and f.values is not memo.values
 
     def test_len_and_cache_file_do_not_see_the_memo(self, tmp_path):
         path = tmp_path / "mn.txt"
