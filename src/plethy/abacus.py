@@ -73,6 +73,12 @@ def mask_ribbons(mask: int, length: int) -> list[tuple[int, int]]:
     return moves
 
 
+def _conjugate_mask(mask: int) -> int:
+    """The canonical mask of the conjugate shape: a canonical mask's bits up to
+    its top bead, reversed and complemented (beads and gaps trade places)."""
+    return int(bin(mask)[:1:-1], 2) ^ ((1 << mask.bit_length()) - 1)
+
+
 def _beads(nu: Partition, d: int) -> list[int]:
     """The bead positions of nu's abacus on t = d * ceil(len/d) beads, descending:
     row i at nu[i] + t - 1 - i, then the padding beads at pad - 1, ..., 0."""

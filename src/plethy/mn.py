@@ -5,10 +5,12 @@ part of the cycle type.  Any fixed part order yields the same value;
 largest-first shrinks the recursion tree fastest, and makes intermediate cycle
 types suffixes of the one asked for, each with one memo table {bead mask: value}.
 Every value is read through _row, mn_value's one-class rows included, and
-computed on a miss by _miss, which recurses once per part of the class.  The
-recursion states stay in memory; the file keeps only the answers _row was
-asked for.  One derived memo per cache, outside len and file, keeps the
-powers s_lam^d per (lam, d) (symfunc._schur_power), the rows d = 1 included.
+computed on a miss by _miss, which recurses once per part of the class and
+stores each state's conjugate shape too, as chi^lam'(mu) = sgn(mu) chi^lam(mu)
+(the sign character tensored in).  The recursion states and their conjugates
+stay in memory; the file keeps only the answers _row was asked for.  One
+derived memo per cache, outside len and file, keeps the powers s_lam^d per
+(lam, d) (symfunc._schur_power), the rows d = 1 included.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 from collections import defaultdict
 from typing import Iterable
 
-from .abacus import decode_mask, encode_mask, mask_ribbons as remove_ribbons  # benchmarks/tracing.py wraps this name
+from .abacus import _conjugate_mask, decode_mask, encode_mask, mask_ribbons as remove_ribbons  # benchmarks/tracing.py wraps this name
 from .config import DEFAULT_TABLE_LIMIT
 from .partitions import Partition, check_partition, format_partition, parse_partition, partitions_of
 
@@ -46,8 +48,9 @@ class CharCache:
     With a path, the file is loaded wholesale on construction, and the cache
     records the answers _row is asked for: each (shape, class) of a row,
     the one-class rows of mn_value included.  Recursion states reached on
-    the way stay in the memo only.  The format is one entry per line,
-    ``<nu parts>|<rho parts>=<decimal integer>``, e.g. ``4,4|2,2,2,2=6``.
+    the way, and the conjugate shape of each at the same class (its value
+    times the class's sign), stay in the memo only.  The format is one entry
+    per line, ``<nu parts>|<rho parts>=<decimal integer>``, e.g. ``4,4|2,2,2,2=6``.
     Loading skips malformed lines (garbage, a last line without its newline,
     |nu| != |rho|); it fails, naming the line, only when a line gives a pair a
     value other than the memo's.  file_stats holds the loaded file's bytes,
@@ -213,7 +216,7 @@ def _row(lam: Partition, classes: Iterable[Partition], cache: CharCache | None) 
             if len(mu) > room:
                 room = len(mu)
                 sys.setrecursionlimit(room + _CALLER_FRAMES)
-            value = _miss(mask, mu, 0, [table], values)
+            value = _miss(mask, mu, 0, [table], values, (sum(lam) - len(mu)) & 1)
         row[mu] = value
     unsaved = cache._unsaved
     if unsaved is not None:
@@ -224,21 +227,25 @@ def _row(lam: Partition, classes: Iterable[Partition], cache: CharCache | None) 
     return row
 
 
-def _miss(mask: int, rho: Partition, depth: int, tables: list[dict[int, int]], values) -> int:
+def _miss(mask: int, rho: Partition, depth: int, tables: list[dict[int, int]], values, odd: int) -> int:
     """Value of the mask at rho[depth:], missing from tables[depth] (the table
-    of rho[depth:]); stores it there.  The first miss this deep fetches the
-    next suffix's table, a private {empty shape: 1} for the empty suffix."""
+    of rho[depth:]); stores it there, and the conjugate shape's value, times
+    sgn(rho[depth:]) = (-1)**odd, unless the table holds one already.  The
+    first miss this deep fetches the next suffix's table, a private
+    {empty shape: 1} for the empty suffix."""
     value = 0
     below = depth + 1
     if below == len(tables):
         tables.append(values[rho[below:]] if below < len(rho) else {0: 1})
-    table = tables[below]
-    for smaller, height in remove_ribbons(mask, rho[depth]):
+    table, part = tables[below], rho[depth]
+    for smaller, height in remove_ribbons(mask, part):
         term = table.get(smaller)
         if term is None:
-            term = _miss(smaller, rho, below, tables, values)
+            term = _miss(smaller, rho, below, tables, values, odd ^ (part - 1) & 1)
         value += -term if height & 1 else term
-    tables[depth][mask] = value
+    here = tables[depth]
+    here[mask] = value
+    here.setdefault(_conjugate_mask(mask), -value if odd else value)
     return value
 
 

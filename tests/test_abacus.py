@@ -7,12 +7,13 @@ from hypothesis import given, strategies as st
 import oracles
 from plethy import (
     boxplus,
+    conjugate,
     d_core,
     d_quotient,
     d_sign,
     partitions_of,
 )
-from plethy.abacus import decode_mask, encode_mask, mask_ribbons
+from plethy.abacus import _conjugate_mask, decode_mask, encode_mask, mask_ribbons
 
 partitions = st.integers(min_value=0, max_value=10).flatmap(
     lambda n: st.sampled_from(partitions_of(n))
@@ -133,6 +134,16 @@ class TestBeadMask:
                 assert decode_mask(mask) == lam
                 masks.add(mask)
         assert len(masks) == sum(len(partitions_of(n)) for n in range(13))
+
+    def test_conjugate_mask(self):
+        assert _conjugate_mask(0b1010) == 0b1010  # (2, 1) is self-conjugate
+        assert _conjugate_mask(encode_mask((3,))) == encode_mask((1, 1, 1)) == 0b1110
+        for n in range(13):
+            for lam in partitions_of(n):
+                mask = _conjugate_mask(encode_mask(lam))
+                assert mask == encode_mask(conjugate(lam)), lam
+                assert not mask & 1, lam
+                assert _conjugate_mask(mask) == encode_mask(lam), lam
 
     def test_removals_stay_canonical(self):
         for n in range(13):

@@ -15,6 +15,7 @@ from plethy import (
     CharCache,
     DegreeMismatchError,
     PartitionError,
+    boxplus,
     character_table,
     conjugate,
     mn,
@@ -23,7 +24,7 @@ from plethy import (
     power_d,
     schur_to_power,
 )
-from plethy.abacus import encode_mask
+from plethy.abacus import decode_mask, encode_mask
 from plethy.verify import verify_theorem1
 
 
@@ -139,10 +140,19 @@ class TestCharacterTable:
                     assert total == (centralizer_order(mu) if mu == nu else 0)
 
     def test_conjugation_twist(self):
+        # A fresh cache per side: one shared cache would answer the second
+        # side from the conjugate its first miss stored.
         for n in range(1, 8):
             for lam in partitions_of(n):
                 for mu in partitions_of(n):
-                    assert mn_value(conjugate(lam), mu) == (-1) ** (n - len(mu)) * mn_value(lam, mu)
+                    twisted = mn_value(conjugate(lam), mu, CharCache())
+                    assert twisted == (-1) ** (n - len(mu)) * mn_value(lam, mu, CharCache())
+
+    def test_matches_partition_kernel(self):
+        memo = {}
+        for n in range(11):
+            for lam, row in zip(partitions_of(n), character_table(n, cache=CharCache())):
+                assert row == [oracles.partition_mn(lam, mu, memo) for mu in partitions_of(n)], lam
 
     def test_size_limit(self):
         with pytest.raises(ValueError, match="table too large.*18"):
@@ -435,6 +445,56 @@ class TestCharCache:
             t.join()
         assert not errors
         assert all(result == expected for result in results)
+
+
+def memo_keys(cache):
+    """The (shape, class) pairs the cache's memo holds."""
+    return {(decode_mask(mask), rho) for rho, table in cache._values.items() for mask in table}
+
+
+class TestConjugateStore:
+    """Each miss stores the conjugate shape's value too, with the class's sign."""
+
+    def test_rows_of_conjugates_in_either_order(self):
+        memo = {}
+        for n in range(9):
+            classes = partitions_of(n)
+            for lam in classes:
+                shapes = lam, conjugate(lam)
+                expected = {shape: {mu: oracles.partition_mn(shape, mu, memo) for mu in classes} for shape in shapes}
+                for order in shapes, shapes[::-1]:
+                    cache = CharCache()
+                    for shape in order:
+                        assert mn._row(shape, classes, cache) == expected[shape], (order, shape)
+
+    @pytest.mark.parametrize("n, d", [(3, 3), (4, 2)])
+    def test_roots_closed_under_conjugation_keep_the_visited_states(self, n, d):
+        # The subdivided shapes of all of partitions_of(n) are closed under
+        # conjugation, so storing conjugates adds no state.
+        cache, memo = CharCache(), {}
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                pair = boxplus(lam, d), boxplus(mu, d)
+                assert mn_value(*pair, cache) == oracles.partition_mn(*pair, memo)
+        assert memo_keys(cache) == set(memo)
+
+    def test_other_roots_add_the_conjugates(self):
+        cache, memo = CharCache(), {}
+        pair = (5, 3, 1), (3, 2, 2, 1, 1)
+        assert mn_value(*pair, cache) == oracles.partition_mn(*pair, memo)
+        conjugates = {(conjugate(nu), rho) for nu, rho in memo}
+        assert not conjugates <= set(memo)
+        assert memo_keys(cache) == set(memo) | conjugates
+
+    def test_a_loaded_entry_is_never_replaced(self, tmp_path):
+        # 3,1 is the conjugate of 2,1,1; the file's value is wrong.
+        path = tmp_path / "cache.txt"
+        path.write_text("3,1|2,1,1=5\n")
+        cache = CharCache(path)
+        value = mn_value((2, 1, 1), (2, 1, 1), cache)
+        assert value == oracles.partition_mn((2, 1, 1), (2, 1, 1))
+        cache.flush()
+        assert path.read_text() == f"2,1,1|2,1,1={value}\n3,1|2,1,1=5\n"
 
 
 class TestAnswersOnly:
