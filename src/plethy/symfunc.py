@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from typing import Mapping
 
 from . import mn
@@ -161,7 +161,7 @@ def power_d(f: SymFunc, d: int) -> SymFunc:
 def _schur_power(lam: Partition, d: int, cache: mn.CharCache | None) -> SymFunc:
     """power_d(schur_to_power(lam, cache), d), built once per cache and kept in its
     _powers; lam and d must be checked.  At d = 1, lam's row read through mn._row,
-    which schur_to_power copies; other callers only read it, through hall_inner."""
+    which schur_to_power copies; other callers only read it (hall_inner, class values)."""
     powers = (cache if cache is not None else mn._default_cache)._powers
     power = powers.get((lam, d))
     if power is None:
@@ -203,10 +203,10 @@ def phi_d_power(f: SymFunc, d: int) -> SymFunc:
 
     p_nu maps to d^len(nu) * p_(nu/d) when every part of nu is divisible by
     d, and to zero otherwise; as z_nu = d^len(nu) * z_(nu/d), F_(nu/d) = F_nu.
+    d divides every part of nu iff it divides gcd(*nu); gcd() = 0 keeps the empty nu.
     """
     _check_positive("substitution power", d)
-    divisible = (nu for nu in f.values if not any(part % d for part in nu))
-    return SymFunc._of({tuple(part // d for part in nu): f.values[nu] for nu in divisible})
+    return SymFunc._of({tuple(part // d for part in nu): value for nu, value in f.values.items() if not gcd(*nu) % d})
 
 
 def phi_d_littlewood(nu: Partition, d: int, cache: mn.CharCache | None = None) -> SymFunc:

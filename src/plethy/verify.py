@@ -17,7 +17,7 @@ The headline checks:
 * littlewood: the abacus route for the p_d-adjoint on Schur functions equals
   the power-basis closed form.
 * theorem2_div: d! divides the subdivided character at part-scaled classes,
-  with values cross-checked against the Hall pairing.
+  with values cross-checked against the Hall pairing with p_mu, read as F_mu.
 * theorem2_vanish: the subdivided character vanishes at d^2-scaled classes
   when d does not divide n.
 * hall_oracle: an ordered-tuple summation reproduces the same values from
@@ -265,19 +265,19 @@ def verify_theorem2_div(
 
     For every lambda of n and mu of d*n: d! divides the ribbon-stripping
     value at the d-scaled class of mu, and that value equals the Hall
-    pairing of the d-th power of the Schur expansion with p_mu.
+    pairing of the d-th power of the Schur expansion with p_mu, read as its
+    class value F_mu (= F_mu * z_mu / z_mu); the stripped shape is never read.
     """
     check_limit("n", n, max_n)
     check_limit("d", d, max_d)
     mus = partitions_of(d * n)
     classes = [scale(mu, d) for mu in mus]
-    power_sums = [SymFunc._of({mu: centralizer_order(mu)}) for mu in mus]
     divisor = math.factorial(d)
 
     def check(lam: Partition) -> Iterator[dict]:
         row = _row(boxplus(lam, d), classes, cache)
-        power = symfunc._schur_power(lam, d, cache)
-        for mu, cls, p_mu in zip(mus, classes, power_sums):
+        power = symfunc._schur_power(lam, d, cache).values
+        for mu, cls in zip(mus, classes):
             value = row[cls]
             if value % divisor != 0:
                 yield {
@@ -286,7 +286,7 @@ def verify_theorem2_div(
                     "relation": f"{divisor} divides value",
                     "value": str(value),
                 }
-            pairing = symfunc.hall_inner(power, p_mu)
+            pairing = power.get(mu, 0)
             if pairing != value:
                 relation = "ribbon-stripping value = Hall pairing"
                 yield _disagreement(lam, mu, relation, ("value", value), ("pairing", pairing))

@@ -25,6 +25,9 @@ genuine cross-check rather than a tautology:
   as the package had it before it stored class values and paired them in
   ints, kept to test those differentially (fraction_power_to_schur and
   fraction_to_power read the tabloid table, not ribbon stripping).
+* any_part_phi_d_power: phi_d on class values {partition: F_nu} with the
+  part-by-part divisibility test, as the package had it before it tested
+  gcd(*nu), kept to test that differentially.
 """
 
 from fractions import Fraction
@@ -333,3 +336,9 @@ def fraction_phi_d_power(f: dict, d: int) -> dict:
             key = tuple(part // d for part in nu)
             out[key] = out.get(key, Fraction(0)) + coeff * d ** len(nu)
     return out
+
+
+def any_part_phi_d_power(values: dict, d: int) -> dict:
+    """F_nu moves to nu/d when no part of nu leaves a remainder mod d, else is dropped."""
+    divisible = (nu for nu in values if not any(part % d for part in nu))
+    return {tuple(part // d for part in nu): values[nu] for nu in divisible}

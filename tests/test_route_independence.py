@@ -7,7 +7,19 @@ import sys
 
 import pytest
 
-from plethy import ROUTE_DIRECT, ROUTE_PLETHYSTIC, CharCache, boxplus_classfunction, partitions_of, symfunc
+from plethy import (
+    ROUTE_DIRECT,
+    ROUTE_PLETHYSTIC,
+    CharCache,
+    boxplus_classfunction,
+    characters,
+    format_partition,
+    mn,
+    partitions_of,
+    symfunc,
+    verify,
+    verify_theorem2_div,
+)
 
 ABACUS = {"abacus.d_sign", "abacus.d_quotient", "abacus.d_core", "abacus._beads", "abacus._runners", "abacus._parts"}
 
@@ -58,3 +70,30 @@ def test_littlewood_routes(d):
             called, _ = profile(lambda: symfunc.phi_d_power(symfunc.schur_to_power(nu, CharCache()), d))
             assert not called & ABACUS, (nu, called & ABACUS)
             assert "symfunc.phi_d_power" in called
+
+
+@pytest.mark.parametrize("n, d", [(3, 2), (2, 3), (4, 2)])
+def test_theorem2_div_pairing_route(n, d):
+    for lam in partitions_of(n):
+        called, sizes = profile(symfunc._schur_power, lam, d, CharCache())
+        # thm2-div's pairing reads the power of lam's Schur function: rows of size n only.
+        assert sizes and max(sizes) <= n, (lam, sizes)
+        assert not called & ABACUS, (lam, called & ABACUS)
+
+
+@pytest.mark.parametrize("n, d", [(2, 2), (3, 2), (2, 3)])
+def test_theorem2_div_pairing_does_not_read_the_stripped_shape(monkeypatch, n, d):
+    real = mn._row
+
+    def perturbed(lam, classes, cache):
+        # Off by one at every class of the d*d*n-box shape lambda boxplus d, nowhere else.
+        row = real(lam, classes, cache)
+        return {mu: value + 1 for mu, value in row.items()} if sum(lam) == d * d * n else row
+
+    for module in (mn, characters, verify):  # every module that binds _row
+        monkeypatch.setattr(module, "_row", perturbed)
+    report = verify_theorem2_div(n, d, cache=CharCache())
+    relation = "ribbon-stripping value = Hall pairing"
+    failed = {(failure["lambda"], failure["mu"]) for failure in report.failures if failure["relation"] == relation}
+    mus = partitions_of(d * n)
+    assert failed == {(format_partition(lam), format_partition(mu)) for lam in partitions_of(n) for mu in mus}

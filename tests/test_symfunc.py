@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 import plethy.mn
@@ -53,6 +53,17 @@ symfuncs_to_6 = st.dictionaries(
     st.integers(min_value=0, max_value=6).flatmap(lambda n: st.sampled_from(partitions_of(n))),
     st.fractions(min_value=-5, max_value=5, max_denominator=6),
     max_size=5,
+).map(SymFunc)
+
+
+# Mixed degrees up to 36, the empty partition included, with keys that are
+# often scaled by a factor in 1..6, so that phi_d keeps some of them.
+mixed_degree_symfuncs = st.dictionaries(
+    st.tuples(partitions.filter(lambda mu: sum(mu) <= 6), st.integers(min_value=1, max_value=6)).map(
+        lambda pair: tuple(part * pair[1] for part in pair[0])
+    ),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    max_size=8,
 ).map(SymFunc)
 
 
@@ -484,6 +495,12 @@ class TestAgainstFractionLayer:
         result = power_to_schur(f)
         assert list(result.items()) == list(expected.items())
         assert all(type(coeff) is (int if coeff.denominator == 1 else Fraction) for coeff in result.values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_degree_symfuncs, st.integers(min_value=1, max_value=6))
+    @example(SymFunc({(): 1, (6, 3): 2, (4, 2, 2): -1, (5,): 1}), 2)
+    def test_phi_d_power_gcd_filter(self, f, d):
+        assert phi_d_power(f, d).values == oracles.any_part_phi_d_power(f.values, d)
 
     @settings(max_examples=80, deadline=None)
     @given(symfuncs_to_6, st.integers(min_value=1, max_value=3))

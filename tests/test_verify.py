@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from plethy import characters as characters_mod
+from plethy import symfunc
 from plethy import verify as verify_mod
 from plethy import (
     CharCache,
@@ -14,8 +15,10 @@ from plethy import (
     SymFunc,
     VerificationReport,
     boxplus,
+    centralizer_order,
     f_dim,
     format_partition,
+    hall_inner,
     hall_summation_oracle,
     mn_value,
     orbit_divisibility_check,
@@ -184,6 +187,17 @@ class TestTheorem2Div:
     def test_limits(self):
         with pytest.raises(ValueError, match="n = 5 exceeds the limit 4"):
             verify_theorem2_div(5, 2)
+
+    def test_pairing_read_is_the_hall_pairing(self):
+        # The sweep reads the pairing of (s_lam)^d with p_mu as the class value
+        # F_mu; hall_inner with the one-term p_mu is the pairing it replaced.
+        cache = CharCache()
+        for n, d in verify_mod.sweep_table()["thm2-div"].grid:
+            for lam in partitions_of(n):
+                power = symfunc._schur_power(lam, d, cache)
+                for mu in partitions_of(d * n):
+                    pairing = hall_inner(power, SymFunc._of({mu: centralizer_order(mu)}))
+                    assert power.values.get(mu, 0) == pairing, (lam, mu, d)
 
 
 class TestTheorem2Vanish:
