@@ -78,7 +78,6 @@ def scaled_classfunction(lam: Partition, d: int, cache: CharCache | None = None)
     """The class function of S_n, n = |lam|, whose value at mu is the
     character of shape d*lam at the class d*mu."""
     lam = check_partition(lam)
-    _check_positive("scale factor", d)
     classes = {mu: scale(mu, d) for mu in partitions_of(sum(lam))}
     row = _row(scale(lam, d), classes.values(), cache)
     return SymFunc._of({mu: row[cls] for mu, cls in classes.items()})

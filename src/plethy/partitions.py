@@ -97,6 +97,8 @@ def partitions_of(n: int) -> list[Partition]:
     partitions_of(0) == [()].  The order is fixed forever; output files and
     JSON key order depend on it.
     """
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, got {n!r}")
     return list(_partitions_of(n))
 
 

@@ -14,10 +14,10 @@ functions) total.
 
 Other values stay exact Fractions; there is no floating point here.  The
 public constructor takes power-sum coefficients and checks every key, and
-SymFunc.terms gives them back as {mu: Fraction}; the module's own results
-are trusted and only drop zero values.  Schur expansions are plain
-{partition: int or Fraction} dicts (power_to_schur, to_power).  Each cache
-memoizes the powers s_lam^d, s_lam itself as d = 1, in one dict.
+SymFunc.terms gives them back as {mu: Fraction}; module results drop zeros.
+Schur expansions are {partition: int or Fraction} dicts (power_to_schur,
+to_power).  Each cache memoizes s_lam^d (s_lam as d = 1) once; the engine
+reads these in place and never changes them; schur_to_power copies them.
 """
 
 from __future__ import annotations
@@ -98,12 +98,9 @@ def format_rational(value: Fraction) -> str:
 
 def schur_to_power(lam: Partition, cache: mn.CharCache | None = None) -> SymFunc:
     """The Schur function of lam: its class values are the character row of lam
-    over partitions_of(|lam|), zeros dropped.  Checks lam on every call, then
-    copies the cache's memoized power _schur_power(lam, 1) into a fresh SymFunc."""
-    lam = check_partition(lam)
-    f = object.__new__(SymFunc)
-    f.values = _schur_power(lam, 1, cache).values.copy()
-    return f
+    over partitions_of(|lam|), zeros dropped.  The checked copy for outside
+    callers: checks lam, then copies the cache's memoized _schur_power(lam, 1)."""
+    return SymFunc._of(_schur_power(check_partition(lam), 1, cache).values)
 
 
 def to_power(schur: Mapping[Partition, Fraction | int], cache: mn.CharCache | None = None) -> SymFunc:
@@ -113,7 +110,7 @@ def to_power(schur: Mapping[Partition, Fraction | int], cache: mn.CharCache | No
     for lam, coeff in schur.items():
         if type(coeff) is not int:
             coeff = _exact(Fraction(coeff))
-        for mu, value in schur_to_power(lam, cache).values.items():
+        for mu, value in _schur_power(check_partition(lam), 1, cache).values.items():
             out[mu] = out.get(mu, 0) + coeff * value
     return SymFunc._of(out)
 
@@ -159,9 +156,9 @@ def power_d(f: SymFunc, d: int) -> SymFunc:
 
 
 def _schur_power(lam: Partition, d: int, cache: mn.CharCache | None) -> SymFunc:
-    """power_d(schur_to_power(lam, cache), d), built once per cache and kept in its
-    _powers; lam and d must be checked.  At d = 1, lam's row read through mn._row,
-    which schur_to_power copies; other callers only read it (hall_inner, class values)."""
+    """power_d(schur_to_power(lam, cache), d), built once per cache and kept in its _powers, read
+    in place and never changed; lam and d must be checked.  At d = 1, lam's row via mn._row.  The engine's
+    one schur_to_power call is at d >= 2: tests/test_tracing_contract.py needs the tracer to count it."""
     powers = (cache if cache is not None else mn._default_cache)._powers
     power = powers.get((lam, d))
     if power is None:
@@ -222,5 +219,5 @@ def phi_d_littlewood(nu: Partition, d: int, cache: mn.CharCache | None = None) -
         return SymFunc()
     result = SymFunc._of({EMPTY: sign})
     for component in d_quotient(nu, d):
-        result = multiply(result, schur_to_power(component, cache))
+        result = multiply(result, _schur_power(component, 1, cache))
     return result

@@ -160,6 +160,11 @@ class TestCharacterTable:
         with pytest.raises(ValueError, match="limit 4"):
             character_table(5, max_n=4)
 
+    @pytest.mark.parametrize("n", [2.0, True])
+    def test_non_int_size_rejected(self, n):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+            character_table(n)
+
 
 class TestCharacterRow:
     def test_matches_mn_value_in_partitions_of_order(self):

@@ -50,8 +50,14 @@ class TestPartitionsOf:
             assert all(sum(mu) == n for mu in parts)
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PartitionError, match="^cannot enumerate partitions of negative -1$"):
             partitions_of(-1)
+
+    @pytest.mark.parametrize("n", [2.0, True])
+    def test_non_int_rejected(self, n):
+        # True hashes equal to 1, so the memoized enumeration would answer it as S_1's.
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+            partitions_of(n)
 
 
 class TestBasics:

@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import os
 import random
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ import plethy.mn
 import plethy.symfunc
 from plethy import (
     CharCache,
+    PartitionError,
     ROUTE_PLETHYSTIC,
     SymFunc,
     boxplus,
@@ -394,6 +397,52 @@ class TestSchurPowerMemo:
             plethy.symfunc._schur_power(lam, 4, cache)
         cache.flush()
         assert (path.read_bytes(), len(cache)) == (written, size)
+
+    def test_engine_reads_leave_the_memo_unchanged(self):
+        cache = CharCache()
+        run_verify_all(cache=cache)
+        cold = {key: (power, power.values, dict(power.values)) for key, power in cache._powers.items()}
+        run_verify_all(cache=cache)
+        assert cache._powers.keys() == cold.keys()
+        fresh = CharCache()
+        for (lam, d), (power, values, copy) in cold.items():
+            assert cache._powers[lam, d] is power and power.values is values
+            assert values == copy == plethy.symfunc._schur_power(lam, d, fresh).values
+
+    def test_keys_are_checked_before_the_memo_lookup(self):
+        # (2, True) and (2.0, 1) hash equal to (2, 1), so a memo hit would answer them.
+        cache = CharCache()
+        schur_to_power((2, 1), cache)
+        keys = set(cache._powers)
+        for call in (
+            lambda: to_power({(2, True): 1}, cache),
+            lambda: to_power({(2.0, 1): 1}, cache),
+            lambda: schur_to_power((2, True), cache),
+        ):
+            with pytest.raises(PartitionError):
+                call()
+        assert set(cache._powers) == keys
+
+    def test_the_engine_reaches_schur_functions_through_the_memo(self):
+        """Outside _schur_power (at d >= 2), no module of plethy calls the checked
+        copy schur_to_power: the engine reads _schur_power(lam, 1) in place."""
+        callers = []
+
+        def visit(node, module, function):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.Call) and "schur_to_power" in (
+                    getattr(child.func, "id", None),
+                    getattr(child.func, "attr", None),
+                ):
+                    callers.append((module, function))
+                visit(child, module, child.name if isinstance(child, ast.FunctionDef) else function)
+
+        package = os.path.dirname(plethy.symfunc.__file__)
+        for name in sorted(os.listdir(package)):
+            if name.endswith(".py"):
+                with open(os.path.join(package, name), encoding="utf-8") as handle:
+                    visit(ast.parse(handle.read()), name[:-3], None)
+        assert callers == [("symfunc", "_schur_power")]
 
     @pytest.mark.parametrize("d", [2.0, True])
     def test_non_int_d_is_rejected_once_the_memo_is_filled(self, d):
