@@ -94,26 +94,16 @@ def _json_text(obj) -> str:
 
 def cmd_table(args: argparse.Namespace, config: Config, cache: CharCache) -> int:
     rows = character_table(args.n, config.max_table_n, cache)
-    parts = partitions_of(args.n)
-    fmt = args.format or config.output_format
-    if fmt == "csv":
+    texts = [format_partition(mu) for mu in partitions_of(args.n)]
+    if (args.format or config.output_format) == "csv":
         import csv
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["lambda"] + [format_partition(mu) for mu in parts])
-        for lam, row in zip(parts, rows):
-            writer.writerow([format_partition(lam)] + [str(value) for value in row])
+        writer.writerow(["lambda", *texts])
+        writer.writerows([lam, *row] for lam, row in zip(texts, rows))
         _emit(buffer.getvalue(), args.out)
     else:
-        payload = {
-            "n": args.n,
-            "rows": {
-                format_partition(lam): {
-                    format_partition(mu): str(value) for mu, value in zip(parts, row)
-                }
-                for lam, row in zip(parts, rows)
-            },
-        }
+        payload = {"n": args.n, "rows": {lam: dict(zip(texts, map(str, row))) for lam, row in zip(texts, rows)}}
         _emit(_json_text(payload), args.out)
     return 0
 

@@ -16,8 +16,10 @@ derived memo per cache, outside len and file, keeps the powers s_lam^d per
 from __future__ import annotations
 
 import contextlib
+import io
 import os
 import sys
+import zlib
 from collections import defaultdict
 from typing import Iterable
 
@@ -57,17 +59,18 @@ class CharCache:
     lines, duplicate_lines, malformed_lines and largest_n (the largest size of
     a loaded entry), all 0 without a file.  flush() does nothing unless an
     answer is missing from the file as last loaded or flushed; then it loads
-    the file on disk now the same way and rewrites it as the sorted union of
-    its lines (the recursion states of older files included) and the answers,
-    through a temporary file and os.replace, so its bytes do not depend on the
-    order of computation and a crash leaves the old file or the new one, never
-    a torn line.  Of two concurrent flushes the last one wins; entries only
-    the other one wrote are recomputed when next needed.
-    'plethy cache clear' deletes the file without reading it.  Inside,
-    shapes are bead masks (abacus.encode_mask); values are read through
-    mn_value and _row only.  _powers (symfunc._schur_power's s_lam^d, the
-    Schur functions themselves at d = 1) repeats derived values: len does
-    not count them and the file never holds them.
+    the file on disk now the same way, unless its bytes match that file's (a
+    64-bit checksum), and rewrites it as the sorted union of its lines (the
+    recursion states of older files included) and the answers, through a
+    temporary file and os.replace, so its bytes do not depend on the order of
+    computation and a crash leaves the old file or the new one, never a torn
+    line.  Of two concurrent flushes the last one wins; entries only the other
+    one wrote are recomputed when next needed.  'plethy cache clear' deletes
+    the file without reading it.  Inside, shapes are bead masks
+    (abacus.encode_mask); values are read through mn_value and _row only.
+    _powers (symfunc._schur_power's s_lam^d, the Schur functions themselves
+    at d = 1) repeats derived values: len does not count them and the file
+    never holds them.
     """
 
     def __init__(self, path: str | os.PathLike | None = None):
@@ -75,14 +78,14 @@ class CharCache:
         self._values: defaultdict[Partition, dict[int, int]] = defaultdict(dict)
         self._powers: dict[tuple[Partition, int], object] = {}  # symfunc._schur_power's SymFuncs
         self.file_stats = dict.fromkeys(_FILE_STATS, 0)
-        # By cycle type: the bead masks of the file as last loaded or
-        # flushed, and the answers asked since that it lacks.  None without
-        # a path, where nothing is recorded.
-        self._on_disk = self._unsaved = None
+        # By cycle type, the bead masks of the file as last loaded or flushed and the answers
+        # asked since that it lacks; and that file's _Summed.sum.  None without a path (or file).
+        self._on_disk = self._unsaved = self._sum = None
         if self.path is not None:
             self._on_disk, self._unsaved = defaultdict(set), defaultdict(set)
-            with contextlib.suppress(FileNotFoundError):
-                self.file_stats, self._on_disk = _read(self.path, self._values)
+            with contextlib.suppress(FileNotFoundError), _Summed(io.FileIO(self.path)) as handle:
+                self.file_stats, self._on_disk = _read(handle, self._values)
+                self._sum = handle.sum
 
     def flush(self) -> None:
         """If an answer asked since the last load or flush is missing from the
@@ -91,8 +94,11 @@ class CharCache:
         if not self._unsaved:
             return
         on_disk: defaultdict[Partition, set[int]] = defaultdict(set)
-        with contextlib.suppress(FileNotFoundError):
-            on_disk = _read(self.path, self._values)[1]
+        with contextlib.suppress(FileNotFoundError), _Summed(io.FileIO(self.path)) as handle:
+            while handle.read1():
+                pass
+            # Unchanged lines gave the memo its values, so cannot conflict.
+            on_disk = self._on_disk if handle.sum == self._sum else _read(handle, self._values)[1]
         for rho, masks in self._unsaved.items():
             on_disk[rho].update(masks)
         nu_texts: dict[int, str] = {}
@@ -105,25 +111,36 @@ class CharCache:
                 if nu_text is None:
                     nu_text = nu_texts[mask] = format_partition(decode_mask(mask))
                 lines.append(f"{nu_text}|{rho_text}={table[mask]}\n")
-        lines.sort()
+        data = "".join(sorted(lines)).encode("ascii")
         directory, name = os.path.split(self.path)
         if directory:
             os.makedirs(directory, exist_ok=True)
         # Beside the target, as os.replace is atomic only within one file
         # system; mode "x" refuses an existing name and applies the umask.
         temp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
-        out = open(temp, "x", encoding="ascii")
+        out = open(temp, "xb")
         try:
             with out:
-                out.writelines(lines)
+                out.write(data)
             os.replace(temp, self.path)
         except BaseException:
             os.remove(temp)
             raise
-        self._on_disk, self._unsaved = on_disk, defaultdict(set)
+        self._on_disk, self._unsaved, self._sum = on_disk, defaultdict(set), (zlib.crc32(data), zlib.adler32(data))
 
     def __len__(self) -> int:
         return sum(map(len, self._values.values()))
+
+
+class _Summed(io.BufferedReader):
+    """A file open for binary reads; sum is the CRC-32 and Adler-32 (64 bits) of what read1 returned."""
+
+    sum = (0, 1)
+
+    def read1(self, size: int = -1) -> bytes:
+        data = super().read1(size)
+        self.sum = zlib.crc32(data, self.sum[0]), zlib.adler32(data, self.sum[1])
+        return data
 
 
 class _Fields(dict):
@@ -135,44 +152,47 @@ class _Fields(dict):
         return field
 
 
-def _read(path: str, values: defaultdict[Partition, dict[int, int]]) -> tuple[dict[str, int], defaultdict]:
-    """Add the entries of the cache file at path to values, which must agree
-    with them, and return the file's counters (see CharCache.file_stats) and
-    the bead masks of its lines by cycle type, including pairs values already held."""
-    fields, rows, masks = _Fields(), {}, defaultdict(list)
+def _read(handle: _Summed, values: defaultdict[Partition, dict[int, int]]) -> tuple[dict[str, int], defaultdict]:
+    """Add the entries of the cache file open in handle, read from its start, to values,
+    which must agree with them, and return the file's counters (see CharCache.file_stats)
+    and the bead masks of its lines by cycle type, including pairs values already held."""
+    fields, rows, masks, torn = _Fields(), {}, defaultdict(list), ""
     lineno = duplicates = malformed = largest = 0
-    with open(path, encoding="ascii", errors="replace") as handle:
-        size = os.fstat(handle.fileno()).st_size
-        for lineno, line in enumerate(handle, start=1):
-            try:
-                if line[-1] != "\n":
-                    raise ValueError("torn last line")
-                key_text, value_text = line.split("=")
-                nu_text, rho_text = key_text.split("|")
-                nu, rho = fields[nu_text], fields[rho_text]
-                if nu[2] != rho[2]:
-                    raise ValueError("degree mismatch")
-                value = int(value_text)
-            except ValueError:
-                malformed += not line.isspace()
-                continue
-            # By the cycle type's text, whose hash Python keeps; the masks become sets once, at the end.
-            row = rows.get(rho_text)
-            if row is None:
-                row = rows[rho_text] = values[rho[1]], masks[rho[1]]
-            table, read = row
-            read.append(nu[0])
-            known = table.get(nu[0])
-            if known is None:
-                table[nu[0]] = value
-                if nu[2] > largest:
-                    largest = nu[2]
-            elif known == value:
-                duplicates += 1
-            else:
-                raise CacheFormatError(
-                    f"{path}:{lineno}: conflicting values {known} and {value} for {line.rstrip()!r}{_CLEAR_HINT}"
-                )
+    handle.seek(0)
+    with io.TextIOWrapper(handle, encoding="ascii", errors="replace") as text:
+        size = os.fstat(text.fileno()).st_size
+        for block in iter(lambda: text.read(1 << 16), ""):  # by blocks, as each call checks handle.closed
+            *pieces, torn = (torn + block).split("\n")
+            for lineno, line in enumerate(pieces, lineno + 1):
+                try:
+                    key_text, value_text = line.split("=")
+                    nu_text, rho_text = key_text.split("|")
+                    nu, rho = fields[nu_text], fields[rho_text]
+                    if nu[2] != rho[2]:
+                        raise ValueError("degree mismatch")
+                    value = int(value_text)
+                except ValueError:
+                    malformed += bool(line.strip())
+                    continue
+                # By the cycle type's text, whose hash Python keeps; the masks become sets once, at the end.
+                row = rows.get(rho_text)
+                if row is None:
+                    row = rows[rho_text] = values[rho[1]], masks[rho[1]]
+                table, read = row
+                read.append(nu[0])
+                known = table.get(nu[0])
+                if known is None:
+                    table[nu[0]] = value
+                    if nu[2] > largest:
+                        largest = nu[2]
+                elif known == value:
+                    duplicates += 1
+                else:
+                    raise CacheFormatError(
+                        f"{handle.name}:{lineno}: conflicting values {known} and {value}"
+                        f" for {line.rstrip()!r}{_CLEAR_HINT}"
+                    )
+    lineno, malformed = lineno + bool(torn), malformed + bool(torn.strip())
     stats = dict(zip(_FILE_STATS, (size, lineno, duplicates, malformed, largest)))
     return stats, defaultdict(set, {rho: set(read) for rho, read in masks.items()})
 

@@ -33,7 +33,34 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# SHA-256 of the stdout of `table 8` per format.
+TABLE_8_SHA256 = {
+    "json": "3c6017b39dc5d1f1530c6b329b490d1612ed1656be96afe7eff297b25938791b",
+    "csv": "cf470bdc0bfe4493918d9474e2d809c280d75b823dd72737b66939a322a95390",
+}
+
+
 class TestTable:
+    @pytest.mark.parametrize("fmt", TABLE_8_SHA256)
+    def test_output_is_pinned(self, capsys, fmt):
+        code, out, err = run_cli(capsys, "table", "8", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == TABLE_8_SHA256[fmt]
+
+    @pytest.mark.parametrize("fmt", TABLE_8_SHA256)
+    def test_each_class_is_formatted_a_bounded_number_of_times(self, capsys, monkeypatch, fmt):
+        real, calls = plethy.cli.format_partition, []
+
+        def counting(mu):
+            calls.append(mu)
+            return real(mu)
+
+        monkeypatch.setattr(plethy.cli, "format_partition", counting)
+        code, out, err = run_cli(capsys, "table", "10", "--format", fmt)
+        assert (code, err) == (0, "")
+        # p(10) = 42 classes: at most two calls each, not one per cell.
+        assert len(calls) <= 2 * 42
+
     def test_json_output(self, capsys):
         code, out, err = run_cli(capsys, "table", "3")
         assert code == 0 and err == ""

@@ -298,6 +298,37 @@ class TestCharCache:
             "largest_n": 8,
         }
 
+    def test_a_file_of_many_blocks_loads_as_text_mode_reads_it(self, tmp_path):
+        # Over 64 KiB, with each line ending text mode translates, blank,
+        # blank-looking and malformed lines between, and a torn last line.
+        rng = random.Random(7)
+        parts, table = partitions_of(11), character_table(11)
+        texts = [",".join(map(str, mu)) for mu in parts]
+        entries = [f"{lam}|{mu}={value}" for lam, row in zip(texts, table) for mu, value in zip(texts, row)]
+        pieces = []
+        for entry in entries:
+            pieces.append(entry + rng.choice(["\n", "\r\n", "\r"]))
+            if rng.random() < 0.05:
+                pieces.append(rng.choice(["\n", "  \r", "garbage\r\n", "3|2=5\n"]))
+        path = tmp_path / "cache.txt"
+        path.write_bytes("".join(pieces + ["11|11=1"]).encode())
+        with open(path, encoding="ascii", errors="replace") as handle:
+            lines = list(handle)
+        valid = set(entries)
+        cache = CharCache(path)
+        assert path.stat().st_size > 1 << 16
+        assert cache.file_stats == {
+            "bytes": path.stat().st_size,
+            "lines": len(lines),
+            "duplicate_lines": 0,
+            # The torn last line, though it parses, and the others that do not.
+            "malformed_lines": 1 + sum(1 for line in lines if line.strip() and line.removesuffix("\n") not in valid),
+            "largest_n": 11,
+        }
+        assert len(cache) == len(entries)
+        assert [list(mn._row(lam, parts, cache).values()) for lam in parts] == table
+        assert len(cache) == len(entries)
+
     def test_loaded_fields_are_checked_once_and_shared(self, tmp_path):
         path = tmp_path / "cache.txt"
         path.write_text("2,1|2,1=-1\n2,1|1,1,1=2\n1,1,1|2,1=1\n")
@@ -574,3 +605,78 @@ class TestAnswersOnly:
         with pytest.raises(CacheFormatError, match=r"conflicting values -1 and 0 for '2,1\|3=0'"):
             cache.flush()
         assert path.read_text() == "2,1|3=0\n"
+
+
+class TestFlushOfAnUnchangedFile:
+    """flush() parses the file again only if its bytes differ from the ones
+    the cache last loaded or wrote; a changed, new or vanished file is merged
+    as on a first load, conflicts included."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """The number of times mn._read has parsed a file, in a one-item list."""
+        real, count = mn._read, [0]
+
+        def counting(*args):
+            count[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(mn, "_read", counting)
+        return count
+
+    def test_an_unchanged_file_is_parsed_once_at_load(self, tmp_path, reads):
+        path = tmp_path / "cache.txt"
+        path.write_text("2|2=1\n1,1|2=-1\n2|2=1\nnot a line\n")
+        cache = CharCache(path)
+        mn_value((3,), (3,), cache)
+        cache.flush()
+        assert path.read_text() == "1,1|2=-1\n2|2=1\n3|3=1\n"
+        # The file it wrote is unchanged too.
+        mn_value((2, 1), (3,), cache)
+        cache.flush()
+        assert path.read_text() == "1,1|2=-1\n2,1|3=-1\n2|2=1\n3|3=1\n"
+        assert reads == [1]
+
+    def test_an_in_place_rewrite_of_equal_length_and_mtime_still_conflicts(self, tmp_path, reads):
+        path = tmp_path / "cache.txt"
+        path.write_text("1,1|2=-1\n2|2=1\n")
+        cache = CharCache(path)
+        mn_value((3,), (3,), cache)
+        before = os.stat(path)
+        with open(path, "r+b") as handle:
+            handle.write(b"1,1|2=-1\n2|2=5\n")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = os.stat(path)
+        assert (after.st_ino, after.st_size, after.st_mtime_ns) == (before.st_ino, before.st_size, before.st_mtime_ns)
+        line = rf"^{re.escape(str(path))}:2: conflicting values 1 and 5 for '2\|2=5'; run 'plethy cache clear'"
+        with pytest.raises(CacheFormatError, match=line):
+            cache.flush()
+        assert path.read_text() == "1,1|2=-1\n2|2=5\n"
+        assert reads == [2]
+
+    def test_a_vanished_file_leaves_only_the_new_answers(self, tmp_path, reads):
+        path = tmp_path / "cache.txt"
+        path.write_text("2|2=1\n")
+        cache = CharCache(path)
+        mn_value((1, 1), (2,), cache)
+        path.unlink()
+        cache.flush()
+        # As after 'plethy cache clear' in between: the loaded line stays deleted.
+        assert path.read_text() == "1,1|2=-1\n"
+        assert mn_value((2,), (2,), cache) == 1
+        cache.flush()
+        assert path.read_text() == "1,1|2=-1\n2|2=1\n"
+        assert reads == [1]
+
+    def test_another_writers_replace_is_merged(self, tmp_path, reads):
+        path = tmp_path / "cache.txt"
+        path.write_text("2|2=1\n")
+        mine, theirs = CharCache(path), CharCache(path)
+        mn_value((1, 1), (2,), theirs)
+        theirs.flush()
+        mn_value((3,), (3,), mine)
+        mine.flush()
+        assert path.read_text() == "1,1|2=-1\n2|2=1\n3|3=1\n"
+        assert mine._values[(2,)][encode_mask((1, 1))] == -1
+        # Loads by both, then mine's flush reads what theirs wrote.
+        assert reads == [3]

@@ -67,9 +67,20 @@ def test_littlewood_routes(d):
             assert "symfunc.phi_d_power" not in called, nu
             assert "abacus.d_sign" in called
 
-            called, _ = profile(lambda: symfunc.phi_d_power(symfunc.schur_to_power(nu, CharCache()), d))
+            # The sweep's own expression (verify.verify_littlewood).
+            called, _ = profile(lambda cache: symfunc.phi_d_power(symfunc._schur_power(nu, 1, cache), d), CharCache())
             assert not called & ABACUS, (nu, called & ABACUS)
             assert "symfunc.phi_d_power" in called
+
+
+@pytest.mark.parametrize("n, d", [(3, 2), (2, 3), (4, 2)])
+def test_hall_summation_oracle_route(n, d):
+    for lam in partitions_of(n):
+        for mu in partitions_of(d * n):
+            called, sizes = profile(verify.hall_summation_oracle, lam, mu, d, CharCache())
+            # The oracle sums over lam's own row: rows of size n only, never the d*d*n-box shape.
+            assert sizes and max(sizes) <= n, (lam, mu, sizes)
+            assert "symfunc._schur_power" not in called, (lam, mu)
 
 
 @pytest.mark.parametrize("n, d", [(3, 2), (2, 3), (4, 2)])
