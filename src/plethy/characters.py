@@ -14,6 +14,7 @@ assumed by the types.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from . import symfunc
@@ -21,12 +22,12 @@ from .config import _check_positive
 from .mn import CharCache, _row, mn_value
 from .partitions import (
     Partition,
-    boxplus,
+    _boxplus,
+    _partitions_of,
+    _scale,
+    _union_power,
     centralizer_order,
     check_partition,
-    partitions_of,
-    scale,
-    union_power,
 )
 from .symfunc import SymFunc
 
@@ -38,6 +39,12 @@ def decompose(phi: SymFunc, cache: CharCache | None = None) -> dict[Partition, i
     """Multiplicities of the irreducible characters in phi, in sort_key
     order; zeros omitted; an int where integral, a Fraction otherwise."""
     return symfunc.power_to_schur(phi, cache)
+
+
+@functools.lru_cache(maxsize=256)
+def _classes(core, n: int, d: int) -> tuple[Partition, ...]:
+    """core(mu, d) for every mu in partitions_of(n), in that order, for a partitions core and a checked d."""
+    return tuple(core(mu, d) for mu in _partitions_of(n))
 
 
 def boxplus_classfunction(
@@ -60,15 +67,13 @@ def boxplus_classfunction(
     _check_positive("grid factor", d)
     n = sum(lam)
     if route == ROUTE_DIRECT:
-        big = boxplus(lam, d)
+        big = _boxplus(lam, d)
         # Stays on mn_value until ROADMAP item 1: tests/test_tracing_contract.py requires its calls.
-        values = {mu: mn_value(big, boxplus(mu, d), cache) for mu in partitions_of(n)}
+        values = {mu: mn_value(big, cls, cache) for mu, cls in zip(_partitions_of(n), _classes(_boxplus, n, d))}
     elif route == ROUTE_PLETHYSTIC:
         power = symfunc._schur_power(lam, d, cache)
-        values = {}
-        for mu in partitions_of(n):
-            nu = union_power(mu, d)  # p_nu has the class value z_nu
-            values[mu] = symfunc.hall_inner(power, SymFunc._of({nu: centralizer_order(nu)}))
+        pairs = zip(_partitions_of(n), _classes(_union_power, n, d))  # p_nu has the class value z_nu
+        values = {mu: symfunc.hall_inner(power, SymFunc._of({nu: centralizer_order(nu)})) for mu, nu in pairs}
     else:
         raise ValueError(f"unknown route {route!r}, expected {ROUTE_DIRECT!r} or {ROUTE_PLETHYSTIC!r}")
     return SymFunc._of(values)
@@ -78,6 +83,7 @@ def scaled_classfunction(lam: Partition, d: int, cache: CharCache | None = None)
     """The class function of S_n, n = |lam|, whose value at mu is the
     character of shape d*lam at the class d*mu."""
     lam = check_partition(lam)
-    classes = {mu: scale(mu, d) for mu in partitions_of(sum(lam))}
-    row = _row(scale(lam, d), classes.values(), cache)
-    return SymFunc._of({mu: row[cls] for mu, cls in classes.items()})
+    _check_positive("scale factor", d)
+    classes = _classes(_scale, sum(lam), d)
+    row = _row(_scale(lam, d), classes, cache)
+    return SymFunc._of({mu: row[cls] for mu, cls in zip(_partitions_of(sum(lam)), classes)})

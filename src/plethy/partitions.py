@@ -30,8 +30,11 @@ def check_partition(parts: Iterable[int]) -> Partition:
     """Validate and canonicalize an iterable of parts into a partition tuple.
 
     Raises PartitionError unless the parts are positive integers in weakly
-    decreasing order.
+    decreasing order.  A tuple object that partitions_of built (kept by id
+    in _ENUMERATED) comes back at once; an equal one gets the full check.
     """
+    if type(parts) is tuple and _ENUMERATED.get(id(parts)) is parts:
+        return parts
     mu = tuple(parts)
     for i, part in enumerate(mu):
         if not isinstance(part, int) or isinstance(part, bool) or part < 1:
@@ -71,6 +74,9 @@ def sort_key(mu: Partition):
     return (sum(mu), tuple(-part for part in mu))
 
 
+_ENUMERATED: dict[int, Partition] = {}
+
+
 @functools.lru_cache(maxsize=None)
 def _partitions_of(n: int) -> tuple[Partition, ...]:
     if n < 0:
@@ -88,6 +94,7 @@ def _partitions_of(n: int) -> tuple[Partition, ...]:
             prefix.pop()
 
     descend(n, n)
+    _ENUMERATED.update((id(mu), mu) for mu in result)
     return tuple(result)
 
 
@@ -124,13 +131,26 @@ def boxplus(lam: Partition, d: int) -> Partition:
     of d*d*|lam| in which part i*d has multiplicity d*m_i(lam).
     """
     _check_positive("grid factor", d)
-    return tuple(d * part for part in lam for _ in range(d))
+    return _boxplus(lam, d)
 
 
 def scale(lam: Partition, d: int) -> Partition:
     """Multiply every part of lam by d."""
     _check_positive("scale factor", d)
+    return _scale(lam, d)
+
+
+# Unchecked cores of boxplus, scale and union_power, for engine code that checked d at its entry.
+def _boxplus(lam: Partition, d: int) -> Partition:
+    return tuple(d * part for part in lam for _ in range(d))
+
+
+def _scale(lam: Partition, d: int) -> Partition:
     return tuple(d * part for part in lam)
+
+
+def _union_power(mu: Partition, d: int) -> Partition:
+    return tuple(sorted(mu * d, reverse=True))
 
 
 def union(mu: Partition, nu: Partition) -> Partition:
@@ -141,7 +161,7 @@ def union(mu: Partition, nu: Partition) -> Partition:
 def union_power(mu: Partition, d: int) -> Partition:
     """Multiset union of d copies of mu (the cycle type of a diagonal element)."""
     _check_positive("union power", d)
-    return tuple(sorted(mu * d, reverse=True))
+    return _union_power(mu, d)
 
 
 def multiplicity_pattern(tup: Sequence[Partition]) -> Partition:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import factorial, gcd
+from operator import mul
 from typing import Mapping
 
 from . import mn
@@ -33,10 +34,10 @@ from .config import _check_positive
 from .partitions import (
     EMPTY,
     Partition,
+    _scale,
     centralizer_order,
     check_partition,
     partitions_of,
-    scale,
     union,
 )
 
@@ -125,7 +126,7 @@ def power_to_schur(f: SymFunc, cache: mn.CharCache | None = None) -> dict[Partit
         order = factorial(n)
         weighted = {mu: value * (order // centralizer_order(mu)) for mu, value in f.values.items() if sum(mu) == n}
         for lam in partitions_of(n):
-            total = sum(weighted[mu] * value for mu, value in mn._row(lam, weighted, cache).items())
+            total = sum(map(mul, weighted.values(), mn._row(lam, weighted, cache).values()))  # _row keeps the order
             if total:
                 whole, remainder = divmod(total, order)
                 out[lam] = Fraction(total, order) if remainder else whole
@@ -192,7 +193,7 @@ def psi_d(f: SymFunc, d: int) -> SymFunc:
     """Substitute each variable by its d-th power: p_mu goes to p_(d*mu), and
     z_(d*mu) = d^len(mu) * z_mu."""
     _check_positive("substitution power", d)
-    return SymFunc._of({scale(mu, d): value * d ** len(mu) for mu, value in f.values.items()})
+    return SymFunc._of({_scale(mu, d): value * d ** len(mu) for mu, value in f.values.items()})
 
 
 def phi_d_power(f: SymFunc, d: int) -> SymFunc:
@@ -218,6 +219,6 @@ def phi_d_littlewood(nu: Partition, d: int, cache: mn.CharCache | None = None) -
     if sign is None:
         return SymFunc()
     result = SymFunc._of({EMPTY: sign})
-    for component in d_quotient(nu, d):
+    for component in filter(None, d_quotient(nu, d)):  # s_() = 1
         result = multiply(result, _schur_power(component, 1, cache))
     return result

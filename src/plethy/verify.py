@@ -55,14 +55,14 @@ from .config import (
 from .mn import CharCache, _row
 from .partitions import (
     Partition,
-    boxplus,
+    _boxplus,
+    _scale,
     centralizer_order,
     check_partition,
     conjugate,
     format_partition,
     multiplicity_pattern,
     partitions_of,
-    scale,
     sort_key,
 )
 from .symfunc import SymFunc
@@ -271,11 +271,11 @@ def verify_theorem2_div(
     check_limit("n", n, max_n)
     check_limit("d", d, max_d)
     mus = partitions_of(d * n)
-    classes = [scale(mu, d) for mu in mus]
+    classes = [_scale(mu, d) for mu in mus]
     divisor = math.factorial(d)
 
     def check(lam: Partition) -> Iterator[dict]:
-        row = _row(boxplus(lam, d), classes, cache)
+        row = _row(_boxplus(lam, d), classes, cache)
         power = symfunc._schur_power(lam, d, cache).values
         for mu, cls in zip(mus, classes):
             value = row[cls]
@@ -307,10 +307,10 @@ def verify_theorem2_vanish(
     if n % d == 0:
         raise ValueError(f"hypothesis d does not divide n violated: d = {d}, n = {n}")
     nus = partitions_of(n)
-    classes = [scale(nu, d * d) for nu in nus]
+    classes = [_scale(nu, d * d) for nu in nus]
 
     def check(lam: Partition) -> Iterator[dict]:
-        row = _row(boxplus(lam, d), classes, cache)
+        row = _row(_boxplus(lam, d), classes, cache)
         for nu, cls in zip(nus, classes):
             if row[cls] != 0:
                 yield {
@@ -363,7 +363,7 @@ def hall_summation_oracle(lam: Partition, mu: Partition, d: int, cache: CharCach
     a centralizer ratio is not integral, which a correct z never gives.
     """
     lam, mu, n = _oracle_input(lam, mu, d)
-    return _oracle(_row(lam, partitions_of(n), cache), mu, _orbits(mu, n, d), d)[0]
+    return _oracle(_row(lam, partitions_of(n), cache), _orbits(mu, n, d), d)[0]
 
 
 def orbit_divisibility_check(
@@ -384,56 +384,57 @@ def orbit_divisibility_check(
         raise ValueError("the divisibility check needs |lambda| >= 1, got lambda = ()")
     params = {"lambda": format_partition(lam), "mu": format_partition(mu), "d": d}
     orbits = _orbits(mu, n, d)
-    _, failures = _oracle(_row(lam, partitions_of(n), cache), mu, orbits, d)
+    _, failures = _oracle(_row(lam, partitions_of(n), cache), orbits, d)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     return VerificationReport(HALL_ORACLE, params, len(orbits), failures, elapsed_ms)
 
 
-def _orbits(mu: Partition, n: int, d: int) -> list[tuple[tuple[Partition, ...], int]]:
+def _orbits(mu: Partition, n: int, d: int) -> list[tuple[tuple[Partition, ...], int | Fraction, list[dict]]]:
     """The rearrangement orbits of the ordered d-tuples of partitions of n
-    with multiset union mu, from one walk: (sorted representative, number of
-    tuples walked), in sort_key order of the representatives."""
-    sizes = Counter(tuple(sorted(tup, key=sort_key)) for tup in _ordered_tuples(mu, n, d))
-    return sorted(sizes.items(), key=lambda item: tuple(sort_key(piece) for piece in item[0]))
-
-
-def _oracle(
-    row: dict[Partition, int], mu: Partition, orbits: list[tuple[tuple[Partition, ...], int]], d: int
-) -> tuple[int | Fraction, list]:
-    """The tuple sum of hall_summation_oracle and the failures of
-    orbit_divisibility_check, for the character row of a lam of n, a checked
-    mu of d*n and the _orbits of mu.
-
-    The sum weights each orbit by its walked size, not the multinomial, so
-    the orbit-size check stays independent of it.
-    """
+    with multiset union mu, from one walk, as (sorted representative, weight,
+    records) in partitions_of order of the representatives.  The weight is
+    the number of tuples walked (not the multinomial, so the orbit-size check
+    stays independent of the sum) times the centralizer ratio; the records
+    are the failures of the checks that do not read lam: size, then ratio."""
     z_mu = centralizer_order(mu)
     d_factorial = math.factorial(d)
-    total = 0
-    failures = []
-    for rep, size in orbits:
+    # Pieces all have size n, where descending lexicographic order is partitions_of order.
+    sizes = Counter(tuple(sorted(tup, reverse=True)) for tup in _ordered_tuples(mu, n, d))
+    orbits = []
+    for rep, size in sorted(sizes.items(), reverse=True):
         sigma = multiplicity_pattern(rep)
         sigma_factorial = math.prod(math.factorial(s) for s in sigma)
         expected_size = d_factorial // sigma_factorial
+        records = []
         if size != expected_size:
-            failures.append({
+            records.append({
                 "orbit": list(map(format_partition, rep)),
                 "relation": "orbit size = multinomial of sigma",
                 "size": size,
                 "expected": expected_size,
             })
-        z_rep = math.prod(centralizer_order(piece) for piece in rep)
-        ratio, remainder = divmod(z_mu, z_rep)
-        if remainder:
-            ratio = Fraction(z_mu, z_rep)
+        ratio = symfunc._exact(Fraction(z_mu, math.prod(centralizer_order(piece) for piece in rep)))
         if ratio % sigma_factorial:
-            failures.append({
+            records.append({
                 "orbit": list(map(format_partition, rep)),
                 "relation": "centralizer ratio is an integer divisible by the sigma factorials",
                 "ratio": symfunc.format_rational(ratio),
                 "sigma": format_partition(sigma),
             })
-        contribution = size * ratio * math.prod(row[piece] for piece in rep)
+        orbits.append((rep, size * ratio, records))
+    return orbits
+
+
+def _oracle(row: dict[Partition, int], orbits: list, d: int) -> tuple[int | Fraction, list[dict]]:
+    """The tuple sum of hall_summation_oracle and the failures of
+    orbit_divisibility_check, for the character row of a lam of n and the
+    _orbits of a mu of d*n: per orbit, its weight times the row values at
+    its pieces, and its records followed by the contribution check's."""
+    d_factorial = math.factorial(d)
+    total, failures = 0, []
+    for rep, weight, records in orbits:
+        failures += records
+        contribution = weight * math.prod(map(row.__getitem__, rep))
         total += contribution
         if contribution % d_factorial:
             failures.append({
@@ -453,18 +454,19 @@ def verify_hall_oracle(
 ) -> VerificationReport:
     """Check the tuple-summation oracle against ribbon stripping, plus the
     per-orbit divisibility, over every lambda of n and mu of d*n.  The
-    orbits of each mu do not depend on lambda: they are walked once."""
+    orbits of each mu do not depend on lambda: they are walked, weighted
+    and checked once (_orbits), and each lambda only reads its row."""
     check_limit("n", n, max_n)
     check_limit("d", d, max_d)
     mus = partitions_of(d * n)
-    classes = [scale(mu, d) for mu in mus]
+    classes = [_scale(mu, d) for mu in mus]
     orbits = {mu: _orbits(mu, n, d) for mu in mus}
 
     def check(lam: Partition) -> Iterator[dict]:
         row = _row(lam, partitions_of(n), cache)
-        stripping = _row(boxplus(lam, d), classes, cache)
+        stripping = _row(_boxplus(lam, d), classes, cache)
         for mu, cls in zip(mus, classes):
-            oracle, orbit_failures = _oracle(row, mu, orbits[mu], d)
+            oracle, orbit_failures = _oracle(row, orbits[mu], d)
             if oracle != stripping[cls]:
                 relation = "tuple summation = ribbon stripping"
                 yield _disagreement(lam, mu, relation, ("summation", oracle), ("stripping", stripping[cls]))

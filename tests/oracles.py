@@ -28,11 +28,18 @@ genuine cross-check rather than a tautology:
 * any_part_phi_d_power: phi_d on class values {partition: F_nu} with the
   part-by-part divisibility test, as the package had it before it tested
   gcd(*nu), kept to test that differentially.
+* one_loop_orbits, one_loop_oracle: the rearrangement orbits grouped by
+  sort key, and the tuple sum and per-orbit checks in one loop, as the
+  package had them before it built the lam-independent orbit data once per
+  mu, kept to test that split differentially.  They take the walked tuples,
+  the centralizer order and the character row as arguments, so a test can
+  feed both sides the same (possibly broken) inputs.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, prod
 
 
 def count_partitions(n: int) -> int:
@@ -342,3 +349,60 @@ def any_part_phi_d_power(values: dict, d: int) -> dict:
     """F_nu moves to nu/d when no part of nu leaves a remainder mod d, else is dropped."""
     divisible = (nu for nu in values if not any(part % d for part in nu))
     return {tuple(part // d for part in nu): values[nu] for nu in divisible}
+
+
+def _sort_key(mu: tuple[int, ...]):
+    return (sum(mu), tuple(-part for part in mu))
+
+
+def _text(mu: tuple[int, ...]) -> str:
+    return ",".join(map(str, mu))
+
+
+def one_loop_orbits(tuples: list) -> list:
+    """(representative sorted by sort key, number of tuples) per orbit of the
+    walked tuples under rearrangement, in sort-key order of representatives."""
+    sizes = Counter(tuple(sorted(tup, key=_sort_key)) for tup in tuples)
+    return sorted(sizes.items(), key=lambda item: tuple(_sort_key(piece) for piece in item[0]))
+
+
+def one_loop_oracle(row: dict, mu: tuple[int, ...], orbits: list, d: int, z) -> tuple:
+    """The tuple sum and the failure records of the orbit checks, orbit by
+    orbit in one loop: size against the multinomial, centralizer ratio
+    divisibility, contribution divisibility.  z is the centralizer order."""
+    z_mu = z(mu)
+    d_factorial = factorial(d)
+    total = 0
+    failures = []
+    for rep, size in orbits:
+        orbit = [_text(piece) for piece in rep]
+        sigma = tuple(sorted(Counter(rep).values(), reverse=True))
+        sigma_factorial = prod(factorial(s) for s in sigma)
+        expected_size = d_factorial // sigma_factorial
+        if size != expected_size:
+            failures.append({
+                "orbit": orbit,
+                "relation": "orbit size = multinomial of sigma",
+                "size": size,
+                "expected": expected_size,
+            })
+        z_rep = prod(z(piece) for piece in rep)
+        ratio, remainder = divmod(z_mu, z_rep)
+        if remainder:
+            ratio = Fraction(z_mu, z_rep)
+        if ratio % sigma_factorial:
+            failures.append({
+                "orbit": list(orbit),
+                "relation": "centralizer ratio is an integer divisible by the sigma factorials",
+                "ratio": str(Fraction(ratio)),
+                "sigma": _text(sigma),
+            })
+        contribution = size * ratio * prod(row[piece] for piece in rep)
+        total += contribution
+        if contribution % d_factorial:
+            failures.append({
+                "orbit": list(orbit),
+                "relation": f"orbit contribution divisible by {d_factorial}",
+                "contribution": str(Fraction(contribution)),
+            })
+    return total, failures

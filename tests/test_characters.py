@@ -9,12 +9,14 @@ from plethy import (
     ROUTE_DIRECT,
     ROUTE_PLETHYSTIC,
     SymFunc,
+    boxplus,
     boxplus_classfunction,
     centralizer_order,
     decompose,
     mn_value,
     multiply,
     partitions_of,
+    scale,
     scaled_classfunction,
     schur_to_power,
 )
@@ -202,6 +204,27 @@ class TestBoxplusClassFunction:
         again = boxplus_classfunction((2, 1), 2, ROUTE_DIRECT, warm)
         cold = boxplus_classfunction((2, 1), 2, ROUTE_DIRECT, CharCache())
         assert first.values == again.values == cold.values
+
+
+class TestClassLists:
+    """Both class functions read their classes from one memo per (core, n, d):
+    asked in an interleaved order, with a size and a factor repeated, they
+    equal class functions whose classes are built inline."""
+
+    GRID = [(3, 2), (3, 3), (4, 2), (3, 2)]
+
+    def test_boxplus_classfunction(self):
+        for n, d in self.GRID:
+            for lam in partitions_of(n):
+                inline = SymFunc._of({mu: mn_value(boxplus(lam, d), boxplus(mu, d)) for mu in partitions_of(n)})
+                for route in (ROUTE_DIRECT, ROUTE_PLETHYSTIC):
+                    assert boxplus_classfunction(lam, d, route) == inline, (lam, d, route)
+
+    def test_scaled_classfunction(self):
+        for n, d in self.GRID:
+            for lam in partitions_of(n):
+                inline = SymFunc._of({mu: mn_value(scale(lam, d), scale(mu, d)) for mu in partitions_of(n)})
+                assert scaled_classfunction(lam, d) == inline, (lam, d)
 
 
 class TestScaledClassFunction:

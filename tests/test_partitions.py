@@ -1,9 +1,11 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from plethy import partitions as partitions_mod
 from plethy import (
     EMPTY,
     PartitionError,
@@ -101,6 +103,55 @@ class TestBasics:
         with pytest.raises(PartitionError):
             check_partition((2, -1))
         assert check_partition([3, 1, 1]) == (3, 1, 1)
+
+
+class PartsTuple(tuple):
+    pass
+
+
+def count_full_checks(monkeypatch):
+    """The parts each full check_partition loop walked: the loop is the
+    module's one enumerate call, so a module-level enumerate sees it."""
+    walked = []
+
+    def counting(parts):
+        walked.append(parts)
+        return enumerate(parts)
+
+    monkeypatch.setattr(partitions_mod, "enumerate", counting, raising=False)
+    return walked
+
+
+class TestCheckFastPath:
+    """check_partition returns a tuple that partitions_of built at once, by
+    identity: an equal object, or one that only hashes equal, gets the full check."""
+
+    def test_enumerated_tuples_come_back_as_themselves(self, monkeypatch):
+        walked = count_full_checks(monkeypatch)
+        for n in range(13):
+            for mu in partitions_of(n):
+                assert check_partition(mu) is mu
+        assert walked == []
+
+    @pytest.mark.parametrize(
+        "parts, message",
+        [
+            ((2, True), "part True is not a positive integer"),
+            ((2.0, 1), "part 2.0 is not a positive integer"),
+            ((1, 2), "parts not weakly decreasing at 2"),
+            (([1],), "part [1] is not a positive integer"),  # unhashable: the registry is keyed by id
+        ],
+    )
+    def test_lookalikes_keep_their_messages(self, parts, message):
+        with pytest.raises(PartitionError, match=f"^{re.escape(f'invalid partition {parts!r}: {message}')}$"):
+            check_partition(parts)
+
+    @pytest.mark.parametrize("parts", [[2, 1], tuple([2, 1]), PartsTuple((2, 1))], ids=["list", "fresh", "subclass"])
+    def test_equal_objects_get_the_full_check(self, parts, monkeypatch):
+        walked = count_full_checks(monkeypatch)
+        mu = check_partition(parts)
+        assert (type(mu), mu, walked) == (tuple, (2, 1), [(2, 1)])
+        assert mu is not partitions_of(3)[1]
 
 
 class TestBoxplusScale:

@@ -432,6 +432,73 @@ class TestOrbitFailureOutput:
         assert report.cases_checked == len(partitions_of(2)) * len(partitions_of(4))
 
 
+def walk_once_more(monkeypatch):
+    def walk(mu, n, d, _walk=_ordered_tuples):
+        tuples = _walk(mu, n, d)
+        return tuples + tuples[:1] if d == 2 else tuples
+
+    monkeypatch.setattr(verify_mod, "_ordered_tuples", walk)
+
+
+def walk_twice(monkeypatch):
+    # Every orbit walked twice over: each fails its size check, so the records show the orbit order.
+    monkeypatch.setattr(verify_mod, "_ordered_tuples", lambda mu, n, d, _walk=_ordered_tuples: _walk(mu, n, d) * 2)
+
+
+def centralizer_order_at(mu, z):
+    def patch(monkeypatch):
+        real = verify_mod.centralizer_order
+        monkeypatch.setattr(verify_mod, "centralizer_order", lambda nu: z if nu == mu else real(nu))
+
+    return patch
+
+
+def third_at_2(monkeypatch):
+    def row(lam, classes, cache, _row=verify_mod._row):
+        return {**_row(lam, classes, cache), (2,): Fraction(1, 3)}
+
+    monkeypatch.setattr(verify_mod, "_row", row)
+
+
+class TestOracleSplit:
+    """_orbits builds what does not read lam once per mu and _oracle reads the
+    row: together they give the total and the failure records, in order and
+    key order, of the one-loop version kept in oracles, on every lam of n
+    and mu of d*n for n <= 3 and d <= 3 and for (n, d) = (4, 2), unbroken,
+    under the walk, centralizer and row mutants of TestOrbitFailureOutput,
+    and with every orbit walked twice."""
+
+    # n <= 3 leaves one orbit per mu; at (4, 2) mu = (2, 2, 1, 1, 1, 1) has two, so the orbit order shows.
+    GRID = [(n, d) for n in range(4) for d in range(1, 4)] + [(4, 2)]
+    CASES = [(lam, mu, d) for n, d in GRID for lam in partitions_of(n) for mu in partitions_of(d * n)]
+
+    @pytest.mark.parametrize(
+        "mutant",
+        [
+            None,
+            walk_once_more,
+            walk_twice,
+            centralizer_order_at((2, 1, 1), 14),
+            centralizer_order_at((1, 1, 1, 1), 4),
+            third_at_2,
+        ],
+        ids=["none", "walk", "walk-twice", "ratio", "integral-ratio", "row"],
+    )
+    def test_matches_the_one_loop_oracle(self, mutant, monkeypatch):
+        if mutant:
+            mutant(monkeypatch)
+        failing = 0
+        for lam, mu, d in self.CASES:
+            n = sum(lam)
+            row = verify_mod._row(lam, partitions_of(n), None)
+            total, failures = verify_mod._oracle(row, verify_mod._orbits(mu, n, d), d)
+            orbits = oracles.one_loop_orbits(verify_mod._ordered_tuples(mu, n, d))
+            one_total, one_failures = oracles.one_loop_oracle(row, mu, orbits, d, verify_mod.centralizer_order)
+            assert (type(total), total, pinned(failures)) == (type(one_total), one_total, pinned(one_failures))
+            failing += bool(failures) and n > 0  # lam = () contributes 1, which d! need not divide
+        assert bool(failing) == bool(mutant)
+
+
 def count_walks(monkeypatch):
     """The d of every _ordered_tuples call.  The recursion calls itself with
     d - 1, so at d = 2 only the d = 2 calls are walks."""
