@@ -68,7 +68,7 @@ def boxplus_classfunction(
     n = sum(lam)
     if route == ROUTE_DIRECT:
         big = _boxplus(lam, d)
-        # Stays on mn_value until ROADMAP item 1: tests/test_tracing_contract.py requires its calls.
+        # Stays on mn_value until ROADMAP item 13: tests/test_tracing_contract.py requires its calls.
         values = {mu: mn_value(big, cls, cache) for mu, cls in zip(_partitions_of(n), _classes(_boxplus, n, d))}
     elif route == ROUTE_PLETHYSTIC:
         power = symfunc._schur_power(lam, d, cache)

@@ -92,16 +92,18 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _csv_text(rows) -> str:
+    import csv  # only the CSV branches load it
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
 def cmd_table(args: argparse.Namespace, config: Config, cache: CharCache) -> int:
     rows = character_table(args.n, config.max_table_n, cache)
     texts = [format_partition(mu) for mu in partitions_of(args.n)]
     if (args.format or config.output_format) == "csv":
-        import csv
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["lambda", *texts])
-        writer.writerows([lam, *row] for lam, row in zip(texts, rows))
-        _emit(buffer.getvalue(), args.out)
+        _emit(_csv_text([["lambda", *texts], *([lam, *row] for lam, row in zip(texts, rows))]), args.out)
     else:
         payload = {"n": args.n, "rows": {lam: dict(zip(texts, map(str, row))) for lam, row in zip(texts, rows)}}
         _emit(_json_text(payload), args.out)
@@ -119,33 +121,28 @@ def cmd_boxplus(args: argparse.Namespace, config: Config, cache: CharCache) -> i
     check_limit("--d", args.d, config.thm1_d)
     if sum(lam) > config.thm1_n:
         raise ValueError(f"|lambda| = {sum(lam)} exceeds the limit {config.thm1_n}")
-    names = (ROUTE_DIRECT, ROUTE_PLETHYSTIC) if args.route == ROUTE_BOTH else (args.route,)
+    both = args.route == ROUTE_BOTH
+    names = (ROUTE_DIRECT, ROUTE_PLETHYSTIC) if both else (args.route,)
     routes = {name: boxplus_classfunction(lam, args.d, name, cache) for name in names}
     primary = routes.get(ROUTE_DIRECT) or routes[ROUTE_PLETHYSTIC]
     mults = decompose(primary, cache)
     decomposition = {format_partition(nu): format_rational(m) for nu, m in mults.items()}
-    fmt = args.format or config.output_format
-    if fmt == "csv":
-        import csv
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["kind", "key", "value"])
+    agree = both and routes[ROUTE_DIRECT].values == routes[ROUTE_PLETHYSTIC].values
+    if (args.format or config.output_format) == "csv":
+        rows = [["kind", "key", "value"]]
         for route, phi in routes.items():
-            kind = "value" if args.route != ROUTE_BOTH else route
-            for mu in partitions_of(sum(lam)):
-                writer.writerow([kind, format_partition(mu), format_rational(phi.values.get(mu, 0))])
-        for key, value in decomposition.items():
-            writer.writerow(["multiplicity", key, value])
-        if args.route == ROUTE_BOTH:
-            agree = routes[ROUTE_DIRECT].values == routes[ROUTE_PLETHYSTIC].values
-            writer.writerow(["agreement", "", "true" if agree else "false"])
-        _emit(buffer.getvalue(), args.out)
+            kind = route if both else "value"
+            rows += ([kind, format_partition(mu), format_rational(phi.values.get(mu, 0))] for mu in partitions_of(sum(lam)))
+        rows += (["multiplicity", key, value] for key, value in decomposition.items())
+        if both:
+            rows.append(["agreement", "", "true" if agree else "false"])
+        _emit(_csv_text(rows), args.out)
     else:
         payload = {"lambda": format_partition(lam), "d": args.d, "route": args.route}
-        if args.route == ROUTE_BOTH:
+        if both:
             payload["direct"] = _classfunction_json(routes[ROUTE_DIRECT], sum(lam))
             payload["plethystic"] = _classfunction_json(routes[ROUTE_PLETHYSTIC], sum(lam))
-            payload["agreement"] = routes[ROUTE_DIRECT].values == routes[ROUTE_PLETHYSTIC].values
+            payload["agreement"] = agree
         else:
             payload["classfunction"] = _classfunction_json(primary, sum(lam))
         payload["decomposition"] = decomposition

@@ -37,6 +37,7 @@ from . import symfunc
 from .characters import (
     ROUTE_DIRECT,
     ROUTE_PLETHYSTIC,
+    _classes,
     boxplus_classfunction,
     decompose,
     scaled_classfunction,
@@ -271,7 +272,7 @@ def verify_theorem2_div(
     check_limit("n", n, max_n)
     check_limit("d", d, max_d)
     mus = partitions_of(d * n)
-    classes = [_scale(mu, d) for mu in mus]
+    classes = _classes(_scale, d * n, d)
     divisor = math.factorial(d)
 
     def check(lam: Partition) -> Iterator[dict]:
@@ -307,7 +308,7 @@ def verify_theorem2_vanish(
     if n % d == 0:
         raise ValueError(f"hypothesis d does not divide n violated: d = {d}, n = {n}")
     nus = partitions_of(n)
-    classes = [_scale(nu, d * d) for nu in nus]
+    classes = _classes(_scale, n, d * d)
 
     def check(lam: Partition) -> Iterator[dict]:
         row = _row(_boxplus(lam, d), classes, cache)
@@ -340,16 +341,16 @@ def _ordered_tuples(mu: Partition, n: int, d: int) -> list[tuple[Partition, ...]
     return tuples
 
 
-def _oracle_input(lam: Partition, mu: Partition, d: int) -> tuple[Partition, Partition, int]:
-    """Checked lam and mu, and n = |lam|, for a tuple summation at the d-scaled
-    class of mu; callers read lam's row with mn._row, which does not check it."""
+def _oracle_input(lam: Partition, mu: Partition, d: int, cache: CharCache | None) -> tuple[Partition, Partition, dict, list]:
+    """Checked lam and mu, lam's character row and mu's _orbits, for a tuple
+    summation at the d-scaled class of mu."""
     _check_positive("d", d)
     lam = check_partition(lam)
     mu = check_partition(mu)
     n = sum(lam)
     if sum(mu) != d * n:
         raise ValueError(f"size mismatch: |mu| = {sum(mu)}, expected d*n = {d * n}")
-    return lam, mu, n
+    return lam, mu, _row(lam, partitions_of(n), cache), _orbits(mu, n, d)
 
 
 def hall_summation_oracle(lam: Partition, mu: Partition, d: int, cache: CharCache | None = None) -> int | Fraction:
@@ -362,8 +363,8 @@ def hall_summation_oracle(lam: Partition, mu: Partition, d: int, cache: CharCach
     (zero) when mu has a part larger than n.  An int; a Fraction only where
     a centralizer ratio is not integral, which a correct z never gives.
     """
-    lam, mu, n = _oracle_input(lam, mu, d)
-    return _oracle(_row(lam, partitions_of(n), cache), _orbits(mu, n, d), d)[0]
+    _, _, row, orbits = _oracle_input(lam, mu, d, cache)
+    return _oracle(row, orbits, d)[0]
 
 
 def orbit_divisibility_check(
@@ -378,15 +379,11 @@ def orbit_divisibility_check(
     contribution is divisible by d!.  Needs n >= 1: for lam = () the single
     empty tuple contributes 1, which d! does not divide for d >= 2.
     """
-    start = time.perf_counter()
-    lam, mu, n = _oracle_input(lam, mu, d)
-    if not n:
+    lam, mu, row, orbits = _oracle_input(lam, mu, d, cache)
+    if not lam:
         raise ValueError("the divisibility check needs |lambda| >= 1, got lambda = ()")
     params = {"lambda": format_partition(lam), "mu": format_partition(mu), "d": d}
-    orbits = _orbits(mu, n, d)
-    _, failures = _oracle(_row(lam, partitions_of(n), cache), orbits, d)
-    elapsed_ms = int((time.perf_counter() - start) * 1000)
-    return VerificationReport(HALL_ORACLE, params, len(orbits), failures, elapsed_ms)
+    return _timed(HALL_ORACLE, params, lambda orbit: _oracle(row, [orbit], d)[1], orbits)
 
 
 def _orbits(mu: Partition, n: int, d: int) -> list[tuple[tuple[Partition, ...], int | Fraction, list[dict]]]:
@@ -459,7 +456,7 @@ def verify_hall_oracle(
     check_limit("n", n, max_n)
     check_limit("d", d, max_d)
     mus = partitions_of(d * n)
-    classes = [_scale(mu, d) for mu in mus]
+    classes = _classes(_scale, d * n, d)
     orbits = {mu: _orbits(mu, n, d) for mu in mus}
 
     def check(lam: Partition) -> Iterator[dict]:

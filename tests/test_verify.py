@@ -32,6 +32,7 @@ from plethy import (
     verify_theorem2_div,
     verify_theorem2_vanish,
 )
+from plethy.partitions import _scale
 from plethy.verify import _ordered_tuples
 
 
@@ -571,6 +572,38 @@ class TestBigShapeRows:
         assert report.status == "FAIL"
         assert list(dict.fromkeys(failure["lambda"] for failure in own)) == list(map(format_partition, partitions_of(n)))
         assert all(failure.items() >= at.items() for failure in own)
+
+
+class TestSweepClassLists:
+    """thm2-div, thm2-vanish and the oracle read their classes from
+    characters._classes, the memo the class functions read, so each list is
+    built once per process."""
+
+    def test_one_key_read_by_two_sweeps(self):
+        # Both read _classes(_scale, 4, 2): the classes 2*mu of the partitions mu of 4.
+        classes = characters_mod._classes
+        runs = [lambda: verify_theorem1_scaled(4, 2, cache=CharCache()), lambda: verify_theorem2_div(2, 2, cache=CharCache())]
+
+        def reports(clear):
+            result = []
+            for run in runs * 2:
+                if clear:
+                    classes.cache_clear()
+                result.append(run().without_timing())
+            return result
+
+        kept = reports(clear=False)
+        assert reports(clear=True) == kept
+        assert [report.status for report in kept] == ["PASS"] * 4
+        classes.cache_clear()
+        runs[0]()
+        hits, misses, _, _ = classes.cache_info()
+        runs[1]()
+        assert classes.cache_info()[:2] == (hits + 1, misses)
+
+    def test_vanish_classes(self):
+        for n, d in verify_mod.sweep_table()["thm2-vanish"].grid:
+            assert list(characters_mod._classes(_scale, n, d * d)) == [scale(nu, d * d) for nu in partitions_of(n)]
 
 
 def add_one_at(phi, mu):
