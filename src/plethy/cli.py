@@ -1,9 +1,10 @@
 """Command-line driver.
 
-Subcommands: table, boxplus, quotient, verify, cache, config.  Output goes
-to stdout or --out, as JSON (default) or CSV where a table shape makes
-sense.  Exit codes: 0 success or all sweeps PASS, 1 a verification sweep
-FAILed, 2 usage, parse, or limit errors.
+Subcommands: table, boxplus, quotient, verify, cache, config.  Each cmd_*
+returns its text and exit code; main writes the text to stdout or --out,
+then flushes the cache.  Output is JSON (default) or CSV where a table
+shape makes sense.  Exit codes: 0 success or all sweeps PASS, 1 a
+verification sweep FAILed, 2 usage, parse, or limit errors.
 
 Reports omit wall-clock timings unless --timings is given, so identical
 inputs produce byte-identical output files.
@@ -12,6 +13,7 @@ inputs produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -25,15 +27,10 @@ from .characters import (
     boxplus_classfunction,
     decompose,
 )
-from .config import MAX_QUOTIENT_D, Config, check_limit, load_config
+from .config import MAX_QUOTIENT_D, OUTPUT_FORMATS, Config, check_limit, load_config
 from .mn import CharCache, character_table
-from .partitions import (
-    PartitionError,
-    format_partition,
-    parse_partition,
-    partitions_of,
-)
-from .symfunc import SymFunc, format_rational
+from .partitions import format_partition, parse_partition, partitions_of
+from .symfunc import format_rational
 
 ROUTE_BOTH = "both"
 
@@ -48,14 +45,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = commands.add_parser("table", help="character table of the symmetric group on n letters")
     p_table.add_argument("n", type=int)
-    p_table.add_argument("--format", choices=("json", "csv"), help="output format (default from config)")
+    p_table.add_argument("--format", choices=OUTPUT_FORMATS, help="output format (default from config)")
     p_table.add_argument("--out", help="write to this path instead of stdout")
 
     p_box = commands.add_parser("boxplus", help="grid-subdivided class function and its decomposition")
     p_box.add_argument("lam", metavar="LAMBDA", help="partition, e.g. 4,4,2,2")
     p_box.add_argument("--d", type=int, required=True)
     p_box.add_argument("--route", choices=(ROUTE_DIRECT, ROUTE_PLETHYSTIC, ROUTE_BOTH), default=ROUTE_DIRECT)
-    p_box.add_argument("--format", choices=("json", "csv"), help="output format (default from config)")
+    p_box.add_argument("--format", choices=OUTPUT_FORMATS, help="output format (default from config)")
     p_box.add_argument("--out", help="write to this path instead of stdout")
 
     p_quot = commands.add_parser("quotient", help="core, quotient, and sign of a partition")
@@ -80,14 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
@@ -99,58 +88,52 @@ def _csv_text(rows) -> str:
     return buffer.getvalue()
 
 
-def cmd_table(args: argparse.Namespace, config: Config, cache: CharCache) -> int:
+def cmd_table(args: argparse.Namespace, config: Config, cache: CharCache) -> tuple[str, int]:
     rows = character_table(args.n, config.max_table_n, cache)
     texts = [format_partition(mu) for mu in partitions_of(args.n)]
-    if (args.format or config.output_format) == "csv":
-        _emit(_csv_text([["lambda", *texts], *([lam, *row] for lam, row in zip(texts, rows))]), args.out)
-    else:
-        payload = {"n": args.n, "rows": {lam: dict(zip(texts, map(str, row))) for lam, row in zip(texts, rows)}}
-        _emit(_json_text(payload), args.out)
-    return 0
+    if args.format == "csv":
+        return _csv_text([["lambda", *texts], *([lam, *row] for lam, row in zip(texts, rows))]), 0
+    payload = {"n": args.n, "rows": {lam: dict(zip(texts, map(str, row))) for lam, row in zip(texts, rows)}}
+    return _json_text(payload), 0
 
 
-def _classfunction_json(phi: SymFunc, n: int) -> dict:
-    """A class function of S_n as {"n": n, "values": ...} over every class of n, zeros included."""
-    return {"n": n, "values": {format_partition(mu): format_rational(phi.values.get(mu, 0)) for mu in partitions_of(n)}}
-
-
-def cmd_boxplus(args: argparse.Namespace, config: Config, cache: CharCache) -> int:
+def cmd_boxplus(args: argparse.Namespace, config: Config, cache: CharCache) -> tuple[str, int]:
     lam = parse_partition(args.lam)
+    n = sum(lam)
     # The limits verify thm1 applies to the same class functions.
     check_limit("--d", args.d, config.thm1_d)
-    if sum(lam) > config.thm1_n:
-        raise ValueError(f"|lambda| = {sum(lam)} exceeds the limit {config.thm1_n}")
+    if n > config.thm1_n:
+        raise ValueError(f"|lambda| = {n} exceeds the limit {config.thm1_n}")
     both = args.route == ROUTE_BOTH
     names = (ROUTE_DIRECT, ROUTE_PLETHYSTIC) if both else (args.route,)
     routes = {name: boxplus_classfunction(lam, args.d, name, cache) for name in names}
-    primary = routes.get(ROUTE_DIRECT) or routes[ROUTE_PLETHYSTIC]
-    mults = decompose(primary, cache)
+    mults = decompose(routes[names[0]], cache)
     decomposition = {format_partition(nu): format_rational(m) for nu, m in mults.items()}
     agree = both and routes[ROUTE_DIRECT].values == routes[ROUTE_PLETHYSTIC].values
-    if (args.format or config.output_format) == "csv":
+    # Per route, the value at every class of n, zeros included, for either format.
+    listings = {
+        name: {format_partition(mu): format_rational(phi.values.get(mu, 0)) for mu in partitions_of(n)}
+        for name, phi in routes.items()
+    }
+    if args.format == "csv":
         rows = [["kind", "key", "value"]]
-        for route, phi in routes.items():
-            kind = route if both else "value"
-            rows += ([kind, format_partition(mu), format_rational(phi.values.get(mu, 0))] for mu in partitions_of(sum(lam)))
+        for name, listing in listings.items():
+            rows += ([name if both else "value", key, value] for key, value in listing.items())
         rows += (["multiplicity", key, value] for key, value in decomposition.items())
         if both:
             rows.append(["agreement", "", "true" if agree else "false"])
-        _emit(_csv_text(rows), args.out)
+        return _csv_text(rows), 0
+    payload = {"lambda": format_partition(lam), "d": args.d, "route": args.route}
+    classfunctions = {name: {"n": n, "values": listing} for name, listing in listings.items()}
+    if both:
+        payload.update(classfunctions, agreement=agree)
     else:
-        payload = {"lambda": format_partition(lam), "d": args.d, "route": args.route}
-        if both:
-            payload["direct"] = _classfunction_json(routes[ROUTE_DIRECT], sum(lam))
-            payload["plethystic"] = _classfunction_json(routes[ROUTE_PLETHYSTIC], sum(lam))
-            payload["agreement"] = agree
-        else:
-            payload["classfunction"] = _classfunction_json(primary, sum(lam))
-        payload["decomposition"] = decomposition
-        _emit(_json_text(payload), args.out)
-    return 0
+        payload["classfunction"] = classfunctions[args.route]
+    payload["decomposition"] = decomposition
+    return _json_text(payload), 0
 
 
-def cmd_quotient(args: argparse.Namespace) -> int:
+def cmd_quotient(args: argparse.Namespace, config: Config, cache: None) -> tuple[str, int]:
     nu = parse_partition(args.nu)
     # No d-ribbon fits in nu when d > |nu|; the output has d components.
     check_limit("--d", args.d, min(max(sum(nu), 1), MAX_QUOTIENT_D))
@@ -162,11 +145,10 @@ def cmd_quotient(args: argparse.Namespace) -> int:
         "quotient": [format_partition(piece) for piece in d_quotient(nu, args.d)],
         "sign": sign if sign is not None else "undefined",
     }
-    _emit(_json_text(payload), args.out)
-    return 0
+    return _json_text(payload), 0
 
 
-def cmd_verify(args: argparse.Namespace, config: Config, cache: CharCache) -> int:
+def cmd_verify(args: argparse.Namespace, config: Config, cache: CharCache) -> tuple[str, int]:
     sweep = verify_mod.sweep_table(config).get(args.which)
     taken = ("d", sweep.size_name) if sweep else ()
     for flag in ("n", "d", "max_size"):
@@ -192,22 +174,21 @@ def cmd_verify(args: argparse.Namespace, config: Config, cache: CharCache) -> in
             "reports": [report.to_json_dict() for report in reports],
             "status": "PASS" if all_pass else "FAIL",
         }
-    _emit(_json_text(payload), args.out)
-    return 0 if all_pass else 1
+    return _json_text(payload), 0 if all_pass else 1
 
 
-def cmd_cache(args: argparse.Namespace, config: Config) -> int:
+def cmd_cache(args: argparse.Namespace, config: Config, cache: None) -> tuple[str, int]:
     path = config.cache_path
     if args.action == "info":
-        cache = _open_cache(path)
-        payload = {"path": path, "exists": os.path.exists(path), "entries": len(cache), **cache.file_stats}
+        stored = _open_cache(path)
+        payload = {"path": path, "exists": os.path.exists(path), "entries": len(stored), **stored.file_stats}
     else:
-        # Deleted unread, so a corrupt file cannot block its own removal.
-        if os.path.exists(path):
+        # Deleted unread, so a corrupt file cannot block its own removal; a
+        # file that another process removed first is cleared all the same.
+        with contextlib.suppress(FileNotFoundError):
             os.remove(path)
         payload = {"path": path, "cleared": True}
-    _emit(_json_text(payload), None)
-    return 0
+    return _json_text(payload), 0
 
 
 def _open_cache(path: str) -> CharCache:
@@ -219,7 +200,15 @@ def _open_cache(path: str) -> CharCache:
     return cache
 
 
-_CACHE_COMMANDS = {"table": cmd_table, "boxplus": cmd_boxplus, "verify": cmd_verify}
+# Each command, and whether main opens the cache file for it and flushes it after the output.
+_COMMANDS = {
+    "table": (cmd_table, True),
+    "boxplus": (cmd_boxplus, True),
+    "quotient": (cmd_quotient, False),
+    "verify": (cmd_verify, True),
+    "cache": (cmd_cache, False),
+    "config": (lambda args, config, cache: (config.to_text(), 0), False),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -232,18 +221,20 @@ def main(argv: list[str] | None = None) -> int:
     try:
         path = args.config or os.environ.get("PLETHY_CONFIG")
         config = load_config(path) if path else Config()
-        if args.command in _CACHE_COMMANDS:
-            cache = _open_cache(config.cache_path)
-            code = _CACHE_COMMANDS[args.command](args, config, cache)
+        if "format" in args:
+            args.format = args.format or config.output_format
+        command, cached = _COMMANDS[args.command]
+        cache = _open_cache(config.cache_path) if cached else None
+        text, code = command(args, config, cache)
+        if getattr(args, "out", None):
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+        if cached:
             cache.flush()
-            return code
-        if args.command == "quotient":
-            return cmd_quotient(args)
-        if args.command == "cache":
-            return cmd_cache(args, config)
-        _emit(config.to_text(), None)
-        return 0
-    except (PartitionError, ValueError, OSError) as exc:
+        return code
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

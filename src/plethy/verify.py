@@ -498,16 +498,15 @@ def sweep_table(config: Config | None = None) -> dict[str, Sweep]:
     """
     c = Config() if config is None else config
     thm1_n, thm1_d, littlewood_size, thm2_n, thm2_d = c.thm1_n, c.thm1_d, c.littlewood_size, c.thm2_n, c.thm2_d
-    thm1_ds = range(2, thm1_d + 1)
-    thm2_ds = range(2, thm2_d + 1)
-    thm1_grid = [(n, d) for n in range(1, thm1_n + 1) for d in thm1_ds]
-    thm2_grid = [(n, d) for n in range(1, thm2_n + 1) for d in thm2_ds]
+
+    def grid(sizes: Sequence[int], max_d: int) -> list[tuple[int, int]]:
+        return [(size, d) for size in sizes for d in range(2, max_d + 1)]
+
+    thm1_grid, thm2_grid = grid(range(1, thm1_n + 1), thm1_d), grid(range(1, thm2_n + 1), thm2_d)
     vanish_grid = [(n, d) for n, d in thm2_grid if n % d]
-    littlewood_grid = [(littlewood_size, d) for d in thm1_ds]
+    littlewood_grid = grid([littlewood_size], thm1_d)
     oracle_limits = (min(thm2_n, DEFAULT_ORACLE_N), thm2_d)
-    oracle_grid = [(n, d) for n in range(1, oracle_limits[0] + 1) for d in thm2_ds]
-    thm1_limits = (thm1_n, thm1_d)
-    thm2_limits = (thm2_n, thm2_d)
+    thm1_limits, thm2_limits = (thm1_n, thm1_d), (thm2_n, thm2_d)
     return {
         "thm1": Sweep(verify_theorem1, "n", thm1_grid, thm1_limits, thm1_limits),
         "thm1-scaled": Sweep(verify_theorem1_scaled, "n", thm1_grid, thm1_limits, thm1_limits),
@@ -518,7 +517,7 @@ def sweep_table(config: Config | None = None) -> dict[str, Sweep]:
         "thm2-vanish": Sweep(
             verify_theorem2_vanish, "n", vanish_grid, thm2_limits, vanish_grid[-1] if vanish_grid else None
         ),
-        "oracle": Sweep(verify_hall_oracle, "n", oracle_grid, oracle_limits, oracle_limits),
+        "oracle": Sweep(verify_hall_oracle, "n", grid(range(1, oracle_limits[0] + 1), thm2_d), oracle_limits, oracle_limits),
     }
 
 

@@ -389,6 +389,38 @@ class TestVerifyCommand:
         assert data["params"]["d"] == 1 and data["status"] == "PASS"
 
 
+class TestOutFlag:
+    """--out gets exactly the bytes stdout would, stdout stays empty, and
+    the exit code does not change."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table", "4", "--format", "json"),
+            ("table", "4", "--format", "csv"),
+            ("boxplus", "2,1", "--d", "2", "--route", "both", "--format", "json"),
+            ("boxplus", "2,1", "--d", "2", "--route", "both", "--format", "csv"),
+            ("quotient", "4,4,2,2", "--d", "2"),
+            ("verify", "thm1", "--n", "1", "--d", "2"),
+        ],
+        ids=["table-json", "table-csv", "boxplus-both-json", "boxplus-both-csv", "quotient", "verify-fail"],
+    )
+    def test_file_holds_the_stdout_bytes(self, capsys, monkeypatch, tmp_path, argv):
+        if argv[0] == "verify":
+            from plethy import verify as verify_mod
+
+            def broken(n, d, max_n, max_d, cache):
+                return verify_mod.VerificationReport("Thm1", {"n": n, "d": d}, 1, [{"relation": "value = 0"}])
+
+            monkeypatch.setattr(verify_mod, "verify_theorem1", broken)
+        code, out, err = run_cli(capsys, *argv)
+        assert err == "" and out
+        target = tmp_path / "out.txt"
+        assert run_cli(capsys, *argv, "--out", str(target)) == (code, "", "")
+        assert target.read_bytes() == out.encode()
+        assert code == (1 if argv[0] == "verify" else 0)
+
+
 def write_config(path, **overrides):
     config = Config(**overrides)
     save_config(config, str(path))
@@ -546,6 +578,25 @@ class TestCacheCommand:
             "malformed_lines": 0,
             "largest_n": 0,
         }
+
+    def test_clear_when_the_file_vanishes_first(self, capsys, tmp_path, monkeypatch):
+        """Another `cache clear` removes the file between this one's check and its own remove."""
+        cfg = tmp_path / "plethy.cfg"
+        cache_path = tmp_path / "mn.txt"
+        write_config(cfg, cache_path=str(cache_path))
+        assert run_cli(capsys, "--config", str(cfg), "table", "3")[0] == 0
+        assert cache_path.exists()
+        real = os.remove
+
+        def remove_twice(path):
+            real(path)
+            real(path)
+
+        monkeypatch.setattr(os, "remove", remove_twice)
+        code, out, err = run_cli(capsys, "--config", str(cfg), "cache", "clear")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"path": str(cache_path), "cleared": True}
+        assert not cache_path.exists()
 
     @pytest.mark.parametrize("xdg", [None, "", "rel"])
     def test_default_path_ignores_an_unset_empty_or_relative_xdg_cache_home(self, capsys, tmp_path, monkeypatch, xdg):

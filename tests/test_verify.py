@@ -606,6 +606,52 @@ class TestSweepClassLists:
             assert list(characters_mod._classes(_scale, n, d * d)) == [scale(nu, d * d) for nu in partitions_of(n)]
 
 
+THM1_GRID = [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3)]
+THM2_GRID = [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)]
+# Per sweep of the default Config(): (size_name, grid, limits, default).
+DEFAULT_SWEEPS = {
+    "thm1": ("n", THM1_GRID, (5, 3), (5, 3)),
+    "thm1-scaled": ("n", THM1_GRID, (5, 3), (5, 3)),
+    "littlewood": ("max_size", [(8, 2), (8, 3)], (8, 3), (8, 2)),
+    "thm2-div": ("n", THM2_GRID, (4, 3), (4, 3)),
+    "thm2-vanish": ("n", [(1, 2), (1, 3), (2, 3), (3, 2), (4, 3)], (4, 3), (4, 3)),
+    "oracle": ("n", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)], (3, 3), (3, 3)),
+}
+
+
+class TestSweepTable:
+    """Every sweep's size name, grid, limits and single-run default, as
+    literals, under the default limits and with each limit at 1."""
+
+    @pytest.mark.parametrize(
+        "override, changed",
+        [
+            ({}, {}),
+            ({"thm1_d": 1}, {
+                "thm1": ("n", [], (5, 1), (5, 1)),
+                "thm1-scaled": ("n", [], (5, 1), (5, 1)),
+                "littlewood": ("max_size", [], (8, 1), (8, 1)),
+            }),
+            ({"thm2_d": 1}, {
+                "thm2-div": ("n", [], (4, 1), (4, 1)),
+                "thm2-vanish": ("n", [], (4, 1), None),
+                "oracle": ("n", [], (3, 1), (3, 1)),
+            }),
+            ({"thm2_n": 1}, {
+                "thm2-div": ("n", [(1, 2), (1, 3)], (1, 3), (1, 3)),
+                "thm2-vanish": ("n", [(1, 2), (1, 3)], (1, 3), (1, 3)),
+                "oracle": ("n", [(1, 2), (1, 3)], (1, 3), (1, 3)),
+            }),
+            ({"littlewood_size": 1}, {"littlewood": ("max_size", [(1, 2), (1, 3)], (1, 3), (1, 2))}),
+        ],
+    )
+    def test_fields_are_pinned(self, override, changed):
+        table = verify_mod.sweep_table(Config(**override))
+        fields = {name: (s.size_name, list(s.grid), s.limits, s.default) for name, s in table.items()}
+        assert fields == {**DEFAULT_SWEEPS, **changed}
+        assert list(table) == list(DEFAULT_SWEEPS)
+
+
 def add_one_at(phi, mu):
     """phi with 1 added to its value at the class mu, in place."""
     phi.values[mu] = phi.values.get(mu, 0) + 1
