@@ -79,7 +79,7 @@ class Config:
     def validate(self) -> None:
         for name in _INT_KEYS:
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            if type(value) is not int or value < 1:
                 raise ValueError(f"config key {name} must be a positive integer, got {value!r}")
         if self.output_format not in OUTPUT_FORMATS:
             raise ValueError(

@@ -277,6 +277,8 @@ def character_table(n: int, max_n: int = DEFAULT_TABLE_LIMIT, cache: CharCache |
     (default 18) because the table has p(n)^2 entries; single values via
     mn_value stay available beyond the limit.
     """
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"table size must be nonnegative, got {n}")
     if n > max_n:

@@ -29,18 +29,17 @@ class PartitionError(ValueError):
 def check_partition(parts: Iterable[int]) -> Partition:
     """Validate and canonicalize an iterable of parts into a partition tuple.
 
-    Raises PartitionError unless the parts are positive integers in weakly
-    decreasing order.  A tuple object that partitions_of built (kept by id
-    in _ENUMERATED) comes back at once; an equal one gets the full check.
+    Raises PartitionError unless every part is an int of at least 1 (a bool
+    or other int subclass is refused, as for d and n), weakly decreasing.
     """
-    if type(parts) is tuple and _ENUMERATED.get(id(parts)) is parts:
-        return parts
     mu = tuple(parts)
-    for i, part in enumerate(mu):
-        if not isinstance(part, int) or isinstance(part, bool) or part < 1:
+    previous = mu[0] if mu else 0
+    for part in mu:
+        if type(part) is not int or part < 1:
             raise PartitionError(f"invalid partition {mu!r}: part {part!r} is not a positive integer")
-        if i > 0 and mu[i - 1] < part:
+        if previous < part:
             raise PartitionError(f"invalid partition {mu!r}: parts not weakly decreasing at {part!r}")
+        previous = part
     return mu
 
 
@@ -74,9 +73,6 @@ def sort_key(mu: Partition):
     return (sum(mu), tuple(-part for part in mu))
 
 
-_ENUMERATED: dict[int, Partition] = {}
-
-
 @functools.lru_cache(maxsize=None)
 def _partitions_of(n: int) -> tuple[Partition, ...]:
     if n < 0:
@@ -94,7 +90,6 @@ def _partitions_of(n: int) -> tuple[Partition, ...]:
             prefix.pop()
 
     descend(n, n)
-    _ENUMERATED.update((id(mu), mu) for mu in result)
     return tuple(result)
 
 
@@ -131,16 +126,16 @@ def boxplus(lam: Partition, d: int) -> Partition:
     of d*d*|lam| in which part i*d has multiplicity d*m_i(lam).
     """
     _check_positive("grid factor", d)
-    return _boxplus(lam, d)
+    return _boxplus(check_partition(lam), d)
 
 
 def scale(lam: Partition, d: int) -> Partition:
     """Multiply every part of lam by d."""
     _check_positive("scale factor", d)
-    return _scale(lam, d)
+    return _scale(check_partition(lam), d)
 
 
-# Unchecked cores of boxplus, scale and union_power, for engine code that checked d at its entry.
+# Unchecked cores of boxplus, scale and union_power, for engine code that checked its input at entry.
 def _boxplus(lam: Partition, d: int) -> Partition:
     return tuple(d * part for part in lam for _ in range(d))
 
@@ -154,14 +149,14 @@ def _union_power(mu: Partition, d: int) -> Partition:
 
 
 def union(mu: Partition, nu: Partition) -> Partition:
-    """Multiset union of parts, re-sorted weakly decreasing; sizes add."""
+    """Multiset union of parts, re-sorted weakly decreasing; sizes add.  Unchecked: multiply calls it per term pair."""
     return tuple(sorted(mu + nu, reverse=True))
 
 
 def union_power(mu: Partition, d: int) -> Partition:
     """Multiset union of d copies of mu (the cycle type of a diagonal element)."""
     _check_positive("union power", d)
-    return _union_power(mu, d)
+    return _union_power(check_partition(mu), d)
 
 
 def multiplicity_pattern(tup: Sequence[Partition]) -> Partition:
@@ -178,6 +173,7 @@ def multiplicity_pattern(tup: Sequence[Partition]) -> Partition:
 
 def conjugate(lam: Partition) -> Partition:
     """Column lengths of the Young diagram; an involution."""
+    lam = check_partition(lam)
     if not lam:
         return EMPTY
     cols = [0] * lam[0]

@@ -19,6 +19,9 @@ genuine cross-check rather than a tautology:
   beta-number tuples, as the package had them before it read its runners
   off bead masks, kept to test those differentially;
 * count_partitions: partition counts by capped-part dynamic programming;
+* isinstance_check_partition: the partition check with its isinstance test
+  and index loop, as the package had it before it tested type(part) is int,
+  kept to test that differentially;
 * fraction_multiply, fraction_hall_inner, fraction_power_to_schur,
   fraction_to_power, fraction_psi_d, fraction_phi_d_power: the
   symmetric-function layer on {partition: Fraction} power-sum coefficients,
@@ -53,6 +56,18 @@ def count_partitions(n: int) -> int:
             if total >= cap:
                 table[cap][total] += table[cap][total - cap]
     return table[n][n]
+
+
+def isinstance_check_partition(parts) -> tuple:
+    """The parts as a tuple; ValueError, with the package's message, unless
+    they are positive non-bool ints in weakly decreasing order."""
+    mu = tuple(parts)
+    for i, part in enumerate(mu):
+        if not isinstance(part, int) or isinstance(part, bool) or part < 1:
+            raise ValueError(f"invalid partition {mu!r}: part {part!r} is not a positive integer")
+        if i > 0 and mu[i - 1] < part:
+            raise ValueError(f"invalid partition {mu!r}: parts not weakly decreasing at {part!r}")
+    return mu
 
 
 def partitions_desc(n: int) -> list[tuple[int, ...]]:

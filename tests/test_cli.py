@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+from enum import IntEnum
 
 import pytest
 
@@ -537,6 +538,11 @@ class TestConfigHandling:
     def test_non_int_limit_rejected(self, value):
         with pytest.raises(ValueError, match="thm1_n must be a positive integer"):
             Config(thm1_n=value)
+
+    def test_int_subclass_limit_rejected(self):
+        """The int test of d and n: an int subclass such as an IntEnum is refused too."""
+        with pytest.raises(ValueError, match="^config key thm1_n must be a positive integer, got <Size.THREE: 3>$"):
+            Config(thm1_n=IntEnum("Size", "ONE TWO THREE").THREE)
 
     @pytest.mark.parametrize("name", ["max_table_n", "thm1_n", "thm1_d", "littlewood_size", "thm2_n", "thm2_d"])
     def test_every_accepted_config_loads_back(self, tmp_path, name):

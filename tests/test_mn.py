@@ -160,10 +160,15 @@ class TestCharacterTable:
         with pytest.raises(ValueError, match="limit 4"):
             character_table(5, max_n=4)
 
-    @pytest.mark.parametrize("n", [2.0, True])
+    # "3" and None are checked before n < 0 could raise TypeError, and 100.0 before the limit.
+    @pytest.mark.parametrize("n", [2.0, True, "3", None, 100.0])
     def test_non_int_size_rejected(self, n):
         with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
             character_table(n)
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError, match="^table size must be nonnegative, got -1$"):
+            character_table(-1)
 
 
 class TestCharacterRow:

@@ -1,11 +1,11 @@
 import math
 import re
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from plethy import partitions as partitions_mod
 from plethy import (
     EMPTY,
     PartitionError,
@@ -109,29 +109,58 @@ class PartsTuple(tuple):
     pass
 
 
-def count_full_checks(monkeypatch):
-    """The parts each full check_partition loop walked: the loop is the
-    module's one enumerate call, so a module-level enumerate sees it."""
-    walked = []
-
-    def counting(parts):
-        walked.append(parts)
-        return enumerate(parts)
-
-    monkeypatch.setattr(partitions_mod, "enumerate", counting, raising=False)
-    return walked
+class Size(IntEnum):
+    ONE = 1
+    TWO = 2
+    THREE = 3
 
 
-class TestCheckFastPath:
-    """check_partition returns a tuple that partitions_of built at once, by
-    identity: an equal object, or one that only hashes equal, gets the full check."""
+def outcome(check, parts, error=PartitionError):
+    """("ok", result) or ("error", message) of one partition check."""
+    try:
+        return "ok", check(parts)
+    except error as raised:
+        return "error", str(raised)
 
-    def test_enumerated_tuples_come_back_as_themselves(self, monkeypatch):
-        walked = count_full_checks(monkeypatch)
-        for n in range(13):
-            for mu in partitions_of(n):
-                assert check_partition(mu) is mu
-        assert walked == []
+
+# Parts of every kind a caller might pass: ints below 1 included, and the
+# lookalikes bool, float and an int subclass (IntEnum).
+any_part = st.one_of(
+    st.integers(min_value=-2, max_value=6),
+    st.booleans(),
+    st.floats(allow_nan=False, min_value=-2, max_value=6),
+    st.text(max_size=2),
+    st.lists(st.integers(min_value=0, max_value=3), max_size=2),
+    st.sampled_from(Size),
+)
+# Mutually comparable parts, sorted so that most draws reach the order check or pass.
+comparable_part = st.one_of(st.integers(min_value=-1, max_value=6), st.booleans(), st.sampled_from(Size))
+any_parts = st.one_of(
+    st.lists(any_part, max_size=5),
+    st.lists(any_part, max_size=5).map(tuple),
+    st.lists(comparable_part, max_size=5).map(lambda parts: tuple(sorted(parts, reverse=True))),
+    st.lists(st.integers(min_value=1), max_size=5).map(tuple),
+)
+
+
+class TestCheckPartition:
+    """check_partition is one loop with one test for a positive int, the one
+    that d and n get: type(part) is int and part >= 1."""
+
+    @given(any_parts)
+    def test_matches_the_isinstance_check(self, parts):
+        """The same tuple or the same message as the isinstance check, except
+        that an int-subclass part is now refused where that check took it."""
+        got = outcome(check_partition, parts)
+        expected = outcome(oracles.isinstance_check_partition, parts, ValueError)
+        if got == expected:
+            return
+        mu = tuple(parts)
+        first = next(i for i, part in enumerate(mu) if type(part) is not int)
+        part = mu[first]
+        assert isinstance(part, int) and not isinstance(part, bool)
+        assert outcome(oracles.isinstance_check_partition, mu[:first], ValueError)[0] == "ok"
+        assert got == ("error", f"invalid partition {mu!r}: part {part!r} is not a positive integer")
 
     @pytest.mark.parametrize(
         "parts, message",
@@ -139,19 +168,29 @@ class TestCheckFastPath:
             ((2, True), "part True is not a positive integer"),
             ((2.0, 1), "part 2.0 is not a positive integer"),
             ((1, 2), "parts not weakly decreasing at 2"),
-            (([1],), "part [1] is not a positive integer"),  # unhashable: the registry is keyed by id
+            (([1],), "part [1] is not a positive integer"),
+            ((2, 0), "part 0 is not a positive integer"),
+            ((2, -1), "part -1 is not a positive integer"),
+            ((Size.TWO, 1), "part <Size.TWO: 2> is not a positive integer"),
         ],
+        ids=["bool", "float", "increasing", "unhashable", "zero", "negative", "int-subclass"],
     )
     def test_lookalikes_keep_their_messages(self, parts, message):
         with pytest.raises(PartitionError, match=f"^{re.escape(f'invalid partition {parts!r}: {message}')}$"):
             check_partition(parts)
 
-    @pytest.mark.parametrize("parts", [[2, 1], tuple([2, 1]), PartsTuple((2, 1))], ids=["list", "fresh", "subclass"])
-    def test_equal_objects_get_the_full_check(self, parts, monkeypatch):
-        walked = count_full_checks(monkeypatch)
+    @pytest.mark.parametrize(
+        "parts", [[mu for n in range(13) for mu in partitions_of(n)], [tuple([2, 1]), ()]], ids=["enumerated", "fresh"]
+    )
+    def test_tuples_come_back_as_themselves(self, parts):
+        for mu in parts:
+            assert check_partition(mu) is mu
+
+    @pytest.mark.parametrize("parts", [[2, 1], PartsTuple((2, 1))], ids=["list", "subclass"])
+    def test_other_iterables_come_back_as_plain_tuples(self, parts):
         mu = check_partition(parts)
-        assert (type(mu), mu, walked) == (tuple, (2, 1), [(2, 1)])
-        assert mu is not partitions_of(3)[1]
+        assert (type(mu), mu) == (tuple, (2, 1))
+        assert mu is not parts
 
 
 class TestBoxplusScale:
@@ -211,6 +250,25 @@ class TestIntFactor:
         for d in (0, -1):
             with pytest.raises(ValueError, match=f"^{name} must be positive, got {d}$"):
                 function(*args, d)
+
+
+class TestBuildersCheckLambda:
+    """boxplus, scale, union_power and conjugate check lambda as well as d, so a
+    non-partition raises check_partition's message instead of a wrong shape."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda lam: boxplus(lam, 2), lambda lam: scale(lam, 2), lambda lam: union_power(lam, 2), conjugate],
+        ids=["boxplus", "scale", "union_power", "conjugate"],
+    )
+    @pytest.mark.parametrize(
+        "lam, message",
+        [((1, 2), "parts not weakly decreasing at 2"), ((2, 0), "part 0 is not a positive integer")],
+        ids=["increasing", "zero"],
+    )
+    def test_non_partition_rejected(self, build, lam, message):
+        with pytest.raises(PartitionError, match=f"^{re.escape(f'invalid partition {lam!r}: {message}')}$"):
+            build(lam)
 
 
 class TestUnion:
