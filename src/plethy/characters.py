@@ -47,6 +47,14 @@ def _classes(core, n: int, d: int) -> tuple[Partition, ...]:
     return tuple(core(mu, d) for mu in _partitions_of(n))
 
 
+@functools.lru_cache(maxsize=256)
+def _power_sums(n: int, d: int) -> tuple[tuple[Partition, SymFunc], ...]:
+    """(mu, p_nu) for every mu in partitions_of(n), nu = _union_power(mu, d), for a checked d;
+    p_nu has the class value z_nu.  Built once per process; no p_nu leaves this module."""
+    pairs = zip(_partitions_of(n), _classes(_union_power, n, d))
+    return tuple((mu, SymFunc._of({nu: centralizer_order(nu)})) for mu, nu in pairs)
+
+
 def boxplus_classfunction(
     lam: Partition, d: int, route: str = ROUTE_DIRECT, cache: CharCache | None = None
 ) -> SymFunc:
@@ -72,8 +80,7 @@ def boxplus_classfunction(
         values = {mu: mn_value(big, cls, cache) for mu, cls in zip(_partitions_of(n), _classes(_boxplus, n, d))}
     elif route == ROUTE_PLETHYSTIC:
         power = symfunc._schur_power(lam, d, cache)
-        pairs = zip(_partitions_of(n), _classes(_union_power, n, d))  # p_nu has the class value z_nu
-        values = {mu: symfunc.hall_inner(power, SymFunc._of({nu: centralizer_order(nu)})) for mu, nu in pairs}
+        values = {mu: symfunc.hall_inner(power, p_nu) for mu, p_nu in _power_sums(n, d)}
     else:
         raise ValueError(f"unknown route {route!r}, expected {ROUTE_DIRECT!r} or {ROUTE_PLETHYSTIC!r}")
     return SymFunc._of(values)

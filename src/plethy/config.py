@@ -37,6 +37,8 @@ def _check_positive(name: str, value: int) -> None:
 
 def check_limit(name: str, value: int, limit: int) -> None:
     _check_positive(name, value)
+    if type(limit) is not int:
+        raise ValueError(f"the limit on {name} must be an integer, got {limit!r}")
     if value > limit:
         raise ValueError(f"{name} = {value} exceeds the limit {limit}")
 

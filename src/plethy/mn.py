@@ -281,6 +281,8 @@ def character_table(n: int, max_n: int = DEFAULT_TABLE_LIMIT, cache: CharCache |
         raise ValueError(f"n must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"table size must be nonnegative, got {n}")
+    if type(max_n) is not int:
+        raise ValueError(f"the limit on n must be an integer, got {max_n!r}")
     if n > max_n:
         raise ValueError(f"table too large: n = {n} exceeds the limit {max_n}")
     return [list(_row(lam, partitions_of(n), cache).values()) for lam in partitions_of(n)]

@@ -27,6 +27,7 @@ The headline checks:
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from collections import Counter
@@ -341,7 +342,7 @@ def _ordered_tuples(mu: Partition, n: int, d: int) -> list[tuple[Partition, ...]
     return tuples
 
 
-def _oracle_input(lam: Partition, mu: Partition, d: int, cache: CharCache | None) -> tuple[Partition, Partition, dict, list]:
+def _oracle_input(lam: Partition, mu: Partition, d: int, cache: CharCache | None) -> tuple[Partition, Partition, dict, tuple]:
     """Checked lam and mu, lam's character row and mu's _orbits, for a tuple
     summation at the d-scaled class of mu."""
     _check_positive("d", d)
@@ -386,13 +387,14 @@ def orbit_divisibility_check(
     return _timed(HALL_ORACLE, params, lambda orbit: _oracle(row, [orbit], d)[1], orbits)
 
 
-def _orbits(mu: Partition, n: int, d: int) -> list[tuple[tuple[Partition, ...], int | Fraction, list[dict]]]:
-    """The rearrangement orbits of the ordered d-tuples of partitions of n
-    with multiset union mu, from one walk, as (sorted representative, weight,
-    records) in partitions_of order of the representatives.  The weight is
-    the number of tuples walked (not the multinomial, so the orbit-size check
-    stays independent of the sum) times the centralizer ratio; the records
-    are the failures of the checks that do not read lam: size, then ratio."""
+@functools.lru_cache(maxsize=256)
+def _orbits(mu: Partition, n: int, d: int) -> tuple[tuple[tuple[Partition, ...], int | Fraction, list[dict]], ...]:
+    """The rearrangement orbits of the ordered d-tuples of partitions of n with multiset
+    union mu, from one walk per process, as (sorted representative, weight, records) in
+    partitions_of order of the representatives.  The weight is the number of tuples walked
+    (not the multinomial, so the orbit-size check stays independent of the sum) times the
+    centralizer ratio; the records, which _oracle copies out, are the failures of the
+    checks that do not read lam: size, then ratio."""
     z_mu = centralizer_order(mu)
     d_factorial = math.factorial(d)
     # Pieces all have size n, where descending lexicographic order is partitions_of order.
@@ -419,10 +421,10 @@ def _orbits(mu: Partition, n: int, d: int) -> list[tuple[tuple[Partition, ...], 
                 "sigma": format_partition(sigma),
             })
         orbits.append((rep, size * ratio, records))
-    return orbits
+    return tuple(orbits)
 
 
-def _oracle(row: dict[Partition, int], orbits: list, d: int) -> tuple[int | Fraction, list[dict]]:
+def _oracle(row: dict[Partition, int], orbits: Sequence, d: int) -> tuple[int | Fraction, list[dict]]:
     """The tuple sum of hall_summation_oracle and the failures of
     orbit_divisibility_check, for the character row of a lam of n and the
     _orbits of a mu of d*n: per orbit, its weight times the row values at
@@ -430,7 +432,8 @@ def _oracle(row: dict[Partition, int], orbits: list, d: int) -> tuple[int | Frac
     d_factorial = math.factorial(d)
     total, failures = 0, []
     for rep, weight, records in orbits:
-        failures += records
+        if records:  # copied, so no caller can edit what _orbits keeps
+            failures += [dict(record, orbit=list(record["orbit"])) for record in records]
         contribution = weight * math.prod(map(row.__getitem__, rep))
         total += contribution
         if contribution % d_factorial:
@@ -452,7 +455,7 @@ def verify_hall_oracle(
     """Check the tuple-summation oracle against ribbon stripping, plus the
     per-orbit divisibility, over every lambda of n and mu of d*n.  The
     orbits of each mu do not depend on lambda: they are walked, weighted
-    and checked once (_orbits), and each lambda only reads its row."""
+    and checked once per process (_orbits), and each lambda only reads its row."""
     check_limit("n", n, max_n)
     check_limit("d", d, max_d)
     mus = partitions_of(d * n)

@@ -160,6 +160,12 @@ class TestCharacterTable:
         with pytest.raises(ValueError, match="limit 4"):
             character_table(5, max_n=4)
 
+    @pytest.mark.parametrize("max_n", ["5", 5.0, None, True])
+    def test_non_int_limit_rejected(self, max_n):
+        # Unchecked, "5" and None fail at n > max_n with a TypeError.
+        with pytest.raises(ValueError, match=f"^the limit on n must be an integer, got {max_n!r}$"):
+            character_table(3, max_n=max_n)
+
     # "3" and None are checked before n < 0 could raise TypeError, and 100.0 before the limit.
     @pytest.mark.parametrize("n", [2.0, True, "3", None, 100.0])
     def test_non_int_size_rejected(self, n):

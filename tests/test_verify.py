@@ -34,6 +34,7 @@ from plethy import (
 )
 from plethy.partitions import _scale
 from plethy.verify import _ordered_tuples
+from test_cli import VERIFY_ALL_SHA256
 
 
 class TestReportType:
@@ -113,6 +114,11 @@ class TestTheorem1Sweep:
         with pytest.raises(ValueError, match=message):
             verify_theorem1(n, d)
 
+    @pytest.mark.parametrize("max_n", ["5", 5.0, None])
+    def test_non_int_limit_rejected(self, max_n):
+        with pytest.raises(ValueError, match=f"^the limit on n must be an integer, got {max_n!r}$"):
+            verify_theorem1(2, 2, max_n=max_n)
+
     def test_scaled_sweep_passes(self):
         for n in range(1, 4):
             for d in (2, 3):
@@ -166,6 +172,12 @@ class TestLittlewoodSweep:
         with pytest.raises(ValueError, match="d = 4 exceeds the limit 3"):
             verify_littlewood(3, 4)
         assert verify_littlewood(2, 4, max_d=4).status == "PASS"
+
+    def test_non_int_limit_rejected(self):
+        with pytest.raises(ValueError, match="^the limit on max_size must be an integer, got 2.0$"):
+            verify_littlewood(2, 2, bound=2.0)
+        with pytest.raises(ValueError, match="^the limit on d must be an integer, got '3'$"):
+            verify_littlewood(2, 2, max_d="3")
 
 
 class TestTheorem2Div:
@@ -527,16 +539,57 @@ class TestHallOracleSweep:
         assert verify_hall_oracle(2, 2).status == "PASS"
         assert walks.count(2) == len(partitions_of(4))
 
+    def test_second_sweep_walks_none(self, monkeypatch):
+        # The orbits depend on neither lambda nor the cache: a second sweep in the process walks nothing.
+        assert verify_hall_oracle(2, 2).status == "PASS"
+        walks = count_walks(monkeypatch)
+        assert verify_hall_oracle(2, 2, cache=CharCache()).status == "PASS"
+        assert walks == []
+
     @pytest.mark.parametrize("oracle", [hall_summation_oracle, orbit_divisibility_check])
     def test_public_oracles_walk_once_per_call(self, oracle, monkeypatch):
+        # At most once per (mu, n, d) per process: calls on the same mu share one walk.
         walks = count_walks(monkeypatch)
         for lam in partitions_of(2):
             oracle(lam, (2, 1, 1), 2)
-        assert walks.count(2) == len(partitions_of(2))
+        assert walks.count(2) == 1
 
     def test_limits(self):
         with pytest.raises(ValueError, match="n = 4 exceeds the limit 3"):
             verify_hall_oracle(4, 2)
+
+
+class TestProcessMemos:
+    """_orbits and characters._power_sums are kept per process: what they
+    keep never reaches a caller, and a warm run reports what a cold one does."""
+
+    def test_orbit_records_are_copies(self, monkeypatch):
+        centralizer_order_at((2, 1, 1), 14)(monkeypatch)
+        for run in (
+            lambda: orbit_divisibility_check((2,), (2, 1, 1), 2).failures,
+            lambda: verify_hall_oracle(2, 2).failures,
+        ):
+            failures = run()
+            expected = pinned(run())
+            for failure in failures:
+                failure["relation"] = "edited"
+                if "orbit" in failure:
+                    failure["orbit"].append("edited")
+            assert pinned(run()) == expected
+            assert any(record[0][0] == "orbit" for record in expected)
+
+    def test_warm_run_equals_cold_run(self):
+        # The fixture of conftest.py empties both memos before the cold run.
+        def verify_all_text():
+            reports = [report.without_timing() for report in run_verify_all(cache=CharCache())]
+            assert {report.status for report in reports} == {"PASS"}
+            payload = {"reports": [report.to_json_dict() for report in reports], "status": "PASS"}
+            return json.dumps(payload, indent=2) + "\n"
+
+        cold = verify_all_text()
+        assert verify_mod._orbits.cache_info().currsize > 0 and characters_mod._power_sums.cache_info().currsize > 0
+        assert verify_all_text() == cold
+        assert hashlib.sha256(cold.encode()).hexdigest() == VERIFY_ALL_SHA256
 
 
 class TestBigShapeRows:
